@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
+import weakref
 
 import numpy as np
 
@@ -34,10 +35,15 @@ class Tensor:
     interior nodes are created by ops and carry a vjp closure. A tensor
     that never landed on a tape (``tape_id is None``) never receives a
     gradient.
+
+    The link to the tape is weak: the tape holds its nodes, so a strong
+    link back would make every recorded graph a reference cycle that
+    only the cycle collector frees. The graph is freed as soon as the
+    tape and the tensors computed on it are no longer referenced.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "tape", "tape_id",
-                 "op", "_parents", "_vjp")
+    __slots__ = ("values", "requires_grad", "grad", "_tape", "tape_id",
+                 "op", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, values, requires_grad=False, dtype=None):
         arr = np.asarray(values, dtype=dtype)
@@ -48,11 +54,16 @@ class Tensor:
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.tape = None
+        self._tape = None
         self.tape_id = None
         self.op = "leaf"
         self._parents = ()
         self._vjp = None
+
+    @property
+    def tape(self):
+        """The tape this tensor was recorded on, or None once it is gone."""
+        return None if self._tape is None else self._tape()
 
     @property
     def shape(self):
@@ -94,7 +105,7 @@ class Tape:
         return stack[-1] if stack else None
 
     def _append(self, t):
-        t.tape = self
+        t._tape = weakref.ref(self)
         t.tape_id = len(self.nodes)
         self.nodes.append(t)
 
@@ -312,7 +323,18 @@ def dense(x, w, b):
 
 
 def conv2d(x, k, stride=1, padding=0):
-    """Cross-correlation of [B, C, H, W] with [O, C, kh, kw] kernels."""
+    """Cross-correlation of [B, C, H, W] with [O, C, kh, kw] kernels.
+
+    Computed channels-last as im2col plus one GEMM per product. The
+    input is padded once into a [B, Hp, Wp, C] buffer, whose strided
+    [B, Ho, Wo, kh, kw, C] window view is copied once into the
+    [B*Ho*Wo, kh*kw*C] ``cols`` matrix; with ``kmat`` the kernel
+    reordered to [O, kh*kw*C], the forward is ``cols @ kmat.T``. In
+    backward, with ``g2`` the output gradient as [B*Ho*Wo, O], the
+    weight gradient is ``g2.T @ cols`` and the input gradient is
+    ``g2 @ kmat`` scattered back by one strided add per kernel offset
+    (col2im). The vjp closure keeps ``cols`` and ``kmat``.
+    """
     x, k = as_tensor(x), as_tensor(k)
     _want_rank(x, 4, "conv2d", "x")
     _want_rank(k, 4, "conv2d", "k")
@@ -327,42 +349,28 @@ def conv2d(x, k, stride=1, padding=0):
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
 
-    if padding:
-        xp = np.zeros((bsz, cin, hp, wp), dtype=x.values.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = x.values
-    else:
-        xp = x.values
-    kv = k.values
-
-    # accumulate one strided slice per kernel offset; avoids a full im2col
-    out = np.zeros((cout, bsz, ho, wo), dtype=x.values.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xv = xp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride]
-            out += np.tensordot(kv[:, :, i, j], xv, axes=([1], [1]))
-    out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    xp = np.zeros((bsz, hp, wp, cin), dtype=x.values.dtype)
+    xp[:, padding:padding + h, padding:padding + w] = x.values.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    cols = windows.reshape(bsz * ho * wo, kh * kw * cin)
+    kmat = k.values.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    out = np.ascontiguousarray((cols @ kmat.T).reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2))
 
     def vjp(g):
         g = _sabotage("conv2d", g)
+        g2 = g.transpose(0, 2, 3, 1).reshape(bsz * ho * wo, cout)
         if _wants_grad(k):
-            dk = np.empty_like(kv)
-            for i in range(kh):
-                for j in range(kw):
-                    xv = xp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride]
-                    dk[:, :, i, j] = np.tensordot(g, xv, axes=([0, 2, 3], [0, 2, 3]))
-            _accum(k, dk)
+            _accum(k, (g2.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         if _wants_grad(x):
-            # one GEMM for all kernel offsets, then scatter the slices
-            dcols = np.tensordot(g, kv, axes=([1], [0]))  # [B, Ho, Wo, C, kh, kw]
-            dxp = np.zeros_like(xp)
+            dcols = (g2 @ kmat).reshape(bsz, ho, wo, kh, kw, cin)
+            dxp = np.zeros((bsz, hp, wp, cin), dtype=dcols.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
-                        dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            if padding:
-                _accum(x, dxp[:, :, padding:padding + h, padding:padding + w])
-            else:
-                _accum(x, dxp)
+                    dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
+                        dcols[:, :, :, i, j]
+            _accum(x, np.ascontiguousarray(
+                dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)))
     return _record("conv2d", out, (x, k), vjp)
 
 

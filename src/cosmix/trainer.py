@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .augment import AugmentConfig, BetaParams, mixup_waveforms, sample_beta, \
     spec_augment, time_shift, time_stretch
-from .dataset import KEYWORDS, load_wav, pad_or_trim
+from .dataset import KEYWORDS, KeywordLabel, load_wav, pad_or_trim
 from .errors import ContractError, DatasetError, NumericError
 from .features import FBankSpec, log_fbank_batch, log_fbank_cached
 from .model import Checkpoint, ModelConfig, classifier_forward, encoder_forward, \
@@ -141,12 +141,6 @@ class ClipStore:
         return cached
 
 
-def one_hot(label):
-    v = np.zeros(len(KEYWORDS))
-    v[label] = 1.0
-    return v
-
-
 def _augment_wave(wave, rng, aug_cfg):
     return time_stretch(time_shift(wave, rng, aug_cfg), rng, aug_cfg)
 
@@ -199,8 +193,8 @@ def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), spec=FBankSpec()
         for v in range(n_views):
             rngs[v][row] = np.random.default_rng(key + [v + 1])
             waves[v, row] = _augment_wave(view_waves[v], rngs[v][row], aug_cfg)
-        y_i[row] = one_hot(entries[i_idx].label)
-        y_j[row] = one_hot(entries[j_idx].label)
+        y_i[row] = KeywordLabel(entries[i_idx].label).one_hot
+        y_j[row] = KeywordLabel(entries[j_idx].label).one_hot
         lambdas[row] = lam
         is_mixed[row] = mixed
 
@@ -470,12 +464,15 @@ def train(cfg, manifest, mode="cosmix", aug_cfg=AugmentConfig(),
                         ad.backward(total)
                 except NumericError as exc:
                     raise NumericError(f"epoch {epoch} batch {batch_idx}: {exc}") from None
+                preds = logits.values.argmax(axis=1)
+                # the step's graph hangs off these two; drop it before Adam
+                del total, logits
                 adam_step(params, adam, lr)
                 nb = len(indices)
                 for k in sums:
                     sums[k] += parts[k] * nb
-                hits += int((logits.values.argmax(axis=1) ==
-                             _dominant_label(batch.y_i, batch.y_j, batch.lambdas)).sum())
+                hits += int((preds == _dominant_label(batch.y_i, batch.y_j,
+                                                      batch.lambdas)).sum())
                 losses_this_epoch.append(parts["loss_total"])
             val_acc, _ = evaluate(store, "validation", params)
             metrics = EpochMetrics(epoch=epoch,

@@ -50,13 +50,22 @@ def suite_dense_grad():
     return _result("dense_grad", err, 1e-6)
 
 
-def suite_conv2d_grad():
-    rng = np.random.default_rng(102)
-    err = _fd(lambda p: ad.sum_all(ad.mul(
+def _conv2d_fd(rng, x_shape, k_shape):
+    return _fd(lambda p: ad.sum_all(ad.mul(
         ad.conv2d(p["x"], p["k"], stride=2, padding=1),
         ad.conv2d(p["x"], p["k"], stride=2, padding=1))),
-        {"x": rng.normal(size=(2, 2, 6, 5)), "k": rng.normal(size=(3, 2, 3, 3))})
+        {"x": rng.normal(size=x_shape), "k": rng.normal(size=k_shape)})
+
+
+def suite_conv2d_grad():
+    err = _conv2d_fd(np.random.default_rng(102), (2, 2, 6, 5), (3, 2, 3, 3))
     return _result("conv2d_grad", err, 1e-6)
+
+
+def suite_conv2d_c1_grad():
+    """Encoder block 0's geometry: one input channel, odd height and width."""
+    err = _conv2d_fd(np.random.default_rng(115), (2, 1, 7, 5), (3, 1, 3, 3))
+    return _result("conv2d_c1_grad", err, 1e-6)
 
 
 def suite_relu_pool_grad():
@@ -216,6 +225,7 @@ def suite_dft_oracle():
 ALL_SUITES = (
     suite_dense_grad,
     suite_conv2d_grad,
+    suite_conv2d_c1_grad,
     suite_relu_pool_grad,
     suite_l2_normalize_grad,
     suite_softmax_ce_grad,

@@ -84,10 +84,19 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             ad.conv2d(ad.Tensor(np.zeros((1, 1, 2, 2))), ad.Tensor(np.zeros((1, 1, 3, 3))))
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("x_shape,k_shape", [((2, 2, 5, 4), (3, 2, 3, 3)),
+                                                 ((2, 1, 5, 7), (3, 1, 3, 3))],
+                             ids=["c2", "c1-odd"])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 0), (1, 1)])
+    def test_gradients_match_finite_differences(self, stride, padding, x_shape, k_shape):
         rng = np.random.default_rng(4)
-        arrays = {"x": rng.normal(size=(2, 2, 5, 4)), "k": rng.normal(size=(3, 2, 3, 3))}
-        err = fd_for(lambda p: ad.sum_all(ad.conv2d(p["x"], p["k"], stride=2, padding=1)), arrays)
+        arrays = {"x": rng.normal(size=x_shape), "k": rng.normal(size=k_shape)}
+        # a random weight per output makes the upstream gradient non-uniform,
+        # so a misplaced index in the gather or the col2im scatter shows
+        out_shape = naive_conv2d(arrays["x"], arrays["k"], stride, padding).shape
+        weights = ad.Tensor(rng.normal(size=out_shape))
+        err = fd_for(lambda p: ad.sum_all(ad.mul(
+            ad.conv2d(p["x"], p["k"], stride=stride, padding=padding), weights)), arrays)
         assert err < 1e-6
 
 

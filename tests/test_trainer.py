@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -367,6 +369,35 @@ class TestTrainLoop:
         rec = json.loads(lines[0])
         assert list(rec) == ["epoch", "loss_mix", "loss_cos", "loss_total",
                              "train_acc", "val_acc", "lr", "seconds"]
+
+    def test_step_graph_freed_without_cycle_collector(self, small_corpus, monkeypatch):
+        # with the collector off, a step's graph must still be gone by the
+        # time the next step starts: freed by reference counting alone
+        refs = []
+        alive_at_step_start = []
+        conv2d, compose_batch = ad.conv2d, tr.compose_batch
+
+        def recording_conv2d(*args, **kwargs):
+            out = conv2d(*args, **kwargs)
+            if out.tape is not None:
+                refs.append(weakref.ref(out))
+            return out
+
+        def checking_compose_batch(*args, **kwargs):
+            alive_at_step_start.append(sum(r() is not None for r in refs))
+            return compose_batch(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "conv2d", recording_conv2d)
+        monkeypatch.setattr(tr, "compose_batch", checking_compose_batch)
+        gc.disable()
+        try:
+            run_tiny(small_corpus, "cosmix")
+            alive_at_end = sum(r() is not None for r in refs)
+        finally:
+            gc.enable()
+        assert len(refs) > len(TINY_MODEL.channels)
+        assert alive_at_step_start == [0] * len(alive_at_step_start)
+        assert alive_at_end == 0
 
     def test_invalid_mode_rejected(self, small_corpus):
         with pytest.raises(ValueError, match="mode"):
