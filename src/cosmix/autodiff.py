@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
 
-# Mutation-testing hook: name an op here (e.g. "conv2d") and its weight
-# gradient is scaled by 1.01, which the verification suite must detect.
+# Mutation-testing hook: name an op here (e.g. "conv2d") and the whole
+# upstream gradient its vjp receives is scaled by 1.05, which the
+# verification suite must detect.
 SABOTAGE_ENV = "COSMIX_SABOTAGE_GRAD"
 
 

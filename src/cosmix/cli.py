@@ -67,9 +67,11 @@ def cmd_prepare(args):
         minutes = sum(durations) / 60.0
         lines.append(f"{word:>8s}: {len(kept):5d} utterances, {minutes:6.2f} min")
         print(lines[-1])
-    tmp_lines = [f"{e.path}\t{e.label}\t{e.speaker_id}\t{e.split}"
-                 for e in manifest.entries]
-    _atomic_write_text(args.output, "\n".join(tmp_lines) + "\n")
+    out = Path(args.output)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(out.name + ".tmp")
+    ds.write_manifest(tmp, manifest)
+    tmp.replace(out)
     print(f"wrote {len(manifest.entries)} entries to {args.output}")
     return EXIT_OK
 

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CheckpointError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError
 
 N_CLASSES = 10
 PROJ_DIM = 128
 FEAT_SHAPE = (98, 64)
+KERNEL_SIZE = 3
+STRIDE = 2
+PADDING = 1
 
 CHECKPOINT_MAGIC = b"CMX1"
 CHECKPOINT_VERSION = 1
@@ -29,56 +32,17 @@ CHECKPOINT_VERSION = 1
 @dataclass(frozen=True)
 class ModelConfig:
     channels: tuple = (32, 64, 64, 128)
-    kernel_size: int = 3
-    stride: int = 2
     proj_hidden: int = 128
     proj_two_layer: bool = True
-    n_classes: int = N_CLASSES
-    proj_dim: int = PROJ_DIM
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.proj_dim != PROJ_DIM:
-            raise ValueError(f"proj_dim must be {PROJ_DIM}")
-        if self.n_classes != N_CLASSES:
-            raise ValueError(f"n_classes must be {N_CLASSES}")
         if len(self.channels) < 1:
             raise ValueError("need at least one conv block")
-        # the reference stack is 3x3 stride-2 blocks; other geometries are
-        # not wired through the forward pass
-        if self.kernel_size != 3 or self.stride != 2:
-            raise ValueError("reference encoder uses 3x3 kernels with stride 2")
 
     @property
     def embed_dim(self):
         return self.channels[-1]
-
-    def to_text(self):
-        """Canonical key = value text, one field per line."""
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        kwargs = {}
-        casts = {"channels": lambda s: tuple(int(x) for x in s.split(",")),
-                 "proj_two_layer": lambda s: s == "True"}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in casts:
-                kwargs[key] = casts[key](value)
-            else:
-                kwargs[key] = int(value)
-        return cls(**kwargs)
 
 
 def init_params(config, dtype=np.float32):
@@ -91,23 +55,23 @@ def init_params(config, dtype=np.float32):
 
     params = ad.ParameterSet()
     c_in = 1
-    k = config.kernel_size
+    k = KERNEL_SIZE
     for i, c_out in enumerate(config.channels):
         params.add(f"enc{i}.w", uniform((c_out, c_in, k, k), c_in * k * k), dtype=dtype)
         params.add(f"enc{i}.b", np.zeros(c_out), dtype=dtype)
         c_in = c_out
     d = config.embed_dim
-    params.add("cls.w", uniform((d, config.n_classes), d), dtype=dtype)
-    params.add("cls.b", np.zeros(config.n_classes), dtype=dtype)
+    params.add("cls.w", uniform((d, N_CLASSES), d), dtype=dtype)
+    params.add("cls.b", np.zeros(N_CLASSES), dtype=dtype)
     if config.proj_two_layer:
         params.add("proj.w1", uniform((d, config.proj_hidden), d), dtype=dtype)
         params.add("proj.b1", np.zeros(config.proj_hidden), dtype=dtype)
-        params.add("proj.w2", uniform((config.proj_hidden, config.proj_dim),
+        params.add("proj.w2", uniform((config.proj_hidden, PROJ_DIM),
                                       config.proj_hidden), dtype=dtype)
-        params.add("proj.b2", np.zeros(config.proj_dim), dtype=dtype)
+        params.add("proj.b2", np.zeros(PROJ_DIM), dtype=dtype)
     else:
-        params.add("proj.w1", uniform((d, config.proj_dim), d), dtype=dtype)
-        params.add("proj.b1", np.zeros(config.proj_dim), dtype=dtype)
+        params.add("proj.w1", uniform((d, PROJ_DIM), d), dtype=dtype)
+        params.add("proj.b1", np.zeros(PROJ_DIM), dtype=dtype)
     return params
 
 
@@ -128,7 +92,7 @@ def n_blocks(params):
     return i
 
 
-def encoder_forward(feats, params, stride=2, padding=1):
+def encoder_forward(feats, params):
     """[B, 98, 64] features -> [B, D] embeddings through the conv stack."""
     feats = ad.as_tensor(feats)
     if feats.values.ndim != 3 or feats.values.shape[1:] != FEAT_SHAPE:
@@ -136,7 +100,7 @@ def encoder_forward(feats, params, stride=2, padding=1):
     b = feats.values.shape[0]
     x = ad.reshape(feats, (b, 1) + FEAT_SHAPE)
     for i in range(n_blocks(params)):
-        x = ad.conv2d(x, params[f"enc{i}.w"], stride=stride, padding=padding)
+        x = ad.conv2d(x, params[f"enc{i}.w"], stride=STRIDE, padding=PADDING)
         x = ad.channel_bias_add(x, params[f"enc{i}.b"])
         x = ad.relu(x)
     return ad.global_avg_pool(x)
@@ -193,8 +157,9 @@ class _Reader:
 
 
 def save_checkpoint(path, ckpt):
+    from .runconfig import format_model_config  # runconfig imports this module
     chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    chunks.append(_pack_str(ckpt.config.to_text()))
+    chunks.append(_pack_str(format_model_config(ckpt.config)))
     chunks.append(struct.pack("<I", ckpt.epoch))
     chunks.append(struct.pack("<I", len(ckpt.rng_state)))
     chunks.append(ckpt.rng_state)
@@ -211,6 +176,7 @@ def save_checkpoint(path, ckpt):
 
 
 def load_checkpoint(path):
+    from .runconfig import parse_model_config  # runconfig imports this module
     with open(path, "rb") as fh:
         data = fh.read()
     r = _Reader(data, path)
@@ -219,7 +185,10 @@ def load_checkpoint(path):
     version = r.u32()
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    config = ModelConfig.from_text(r.string())
+    try:
+        config = parse_model_config(r.string(), source=str(path))
+    except ConfigError as exc:
+        raise CheckpointError(str(exc)) from None
     epoch = r.u32()
     rng_state = r.take(r.u32())
     metrics_tail = json.loads(r.string())

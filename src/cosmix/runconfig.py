@@ -10,8 +10,13 @@ from pathlib import Path
 
 from .augment import AugmentConfig
 from .errors import ConfigError
-from .model import ModelConfig
+from .model import N_CLASSES, PROJ_DIM, ModelConfig
 from .trainer import TrainConfig
+
+# Model keys that config files and checkpoints written before their removal
+# still carry, each at the only value it could ever hold.
+_RETIRED = {"model_kernel_size": 3, "model_stride": 2,
+            "model_n_classes": N_CLASSES, "model_proj_dim": PROJ_DIM}
 
 
 @dataclass(frozen=True)
@@ -64,11 +69,16 @@ def parse_config(text, source="<config>"):
             raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEYS:
+        if key not in _KEYS and key not in _RETIRED:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         seen.add(key)
+        if key in _RETIRED:
+            if value != str(_RETIRED[key]):
+                raise ConfigError(f"{source}:{lineno}: retired key {key!r} "
+                                  f"can only be {_RETIRED[key]}, got {value!r}")
+            continue
         section, field_name, cast = _KEYS[key]
         try:
             values[section][field_name] = cast(value)
@@ -86,20 +96,35 @@ def load_config(path):
     return parse_config(Path(path).read_text(encoding="utf-8"), source=str(path))
 
 
+def _format_section(prefix, cfg):
+    out = []
+    for f in fields(type(cfg)):
+        v = getattr(cfg, f.name)
+        if isinstance(v, tuple):
+            v = ",".join(str(x) for x in v)
+        elif isinstance(v, bool):
+            v = "true" if v else "false"
+        out.append(f"{prefix}{f.name} = {v}\n")
+    return "".join(out)
+
+
 def format_config(settings):
     """All keys with their resolved values, one per line, definition order."""
-    out = []
-    for section, cfg in (("train", settings.train), ("augment", settings.augment),
-                         ("model", settings.model)):
-        for f in fields(type(cfg)):
-            key = f.name if section != "model" else f"model_{f.name}"
-            v = getattr(cfg, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(str(x) for x in v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            out.append(f"{key} = {v}")
-    return "\n".join(out) + "\n"
+    return (_format_section("", settings.train) + _format_section("", settings.augment)
+            + format_model_config(settings.model))
+
+
+def format_model_config(model):
+    """The ``model_*`` lines of ``format_config``: a checkpoint's config text."""
+    return _format_section("model_", model)
+
+
+def parse_model_config(text, source):
+    """ModelConfig from ``format_model_config`` text. Checkpoints written
+    before that format name the fields without the ``model_`` prefix."""
+    lines = [line if line.startswith("model_") or not line.strip() else "model_" + line
+             for line in text.splitlines()]
+    return parse_config("\n".join(lines), source).model
 
 
 def default_settings():

@@ -145,11 +145,6 @@ def _augment_wave(wave, rng, aug_cfg):
     return time_stretch(time_shift(wave, rng, aug_cfg), rng, aug_cfg)
 
 
-def _augment_view(wave, rng, aug_cfg, spec):
-    values = log_fbank_cached(_augment_wave(wave, rng, aug_cfg), spec).values
-    return spec_augment(values, rng, aug_cfg)
-
-
 def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), spec=FBankSpec(),
                   epoch=1, batch_idx=0, with_views=True):
     """Build one MixedBatch; deterministic given (seed, epoch, batch index).
@@ -245,26 +240,17 @@ def lambda_weight(lam, is_mixed):
     return (1.0,)
 
 
-def _project_views(both, params, tracked):
-    """One [2B] forward through encoder and projector for the two views."""
-    if tracked:
-        proj = projector_forward(encoder_forward(ad.Tensor(both), params), params)
-        return ad.stop_gradient(proj).values
-    with ad.pause_recording():
-        return projector_forward(encoder_forward(ad.Tensor(both), params),
-                                 params).values
-
-
 def target_projections(batch, params):
     """Plain-forward projections of the two pre-mix views (no recording)."""
     dtype = next(iter(params.tensors())).values.dtype
     both = np.concatenate([batch.feats_i, batch.feats_j]).astype(dtype, copy=False)
-    vals = _project_views(both, params, tracked=False)
+    with ad.pause_recording():
+        vals = projector_forward(encoder_forward(ad.Tensor(both), params), params).values
     b = batch.feats_i.shape[0]
     return vals[:b], vals[b:]
 
 
-def total_loss(batch, params, cfg, track_targets=False, frozen_targets=None):
+def total_loss(batch, params, cfg, frozen_targets=None):
     """Combined loss: classification on the mixed view plus the weighted
     contrastive pull toward each (stop-gradient) pre-mixed projection.
 
@@ -283,18 +269,17 @@ def total_loss(batch, params, cfg, track_targets=False, frozen_targets=None):
         if frozen_targets is None and (batch.feats_i is None or batch.feats_j is None):
             raise ContractError("contrastive loss requires the pre-mix views")
         proj_mix = projector_forward(emb, params)
-        if frozen_targets is not None:
-            vals_i = np.asarray(frozen_targets[0], dtype=dtype)
-            vals_j = np.asarray(frozen_targets[1], dtype=dtype)
-        else:
-            both = np.concatenate([batch.feats_i, batch.feats_j]).astype(dtype, copy=False)
-            vals = _project_views(both, params, tracked=track_targets)
-            b = batch.feats_i.shape[0]
-            vals_i, vals_j = vals[:b], vals[b:]
+        if frozen_targets is None:
+            frozen_targets = target_projections(batch, params)
+        vals_i, vals_j = (np.asarray(t, dtype=dtype) for t in frozen_targets)
         c_i = loss_cos(proj_mix, ad.stop_gradient(ad.Tensor(vals_i)))
         c_j = loss_cos(proj_mix, ad.stop_gradient(ad.Tensor(vals_j)))
-        w_i = ad.Tensor(batch.lambdas.astype(dtype))
-        w_j = ad.Tensor((1.0 - batch.lambdas).astype(dtype))
+        # a non-mixed row's single weight goes to view i; view j keeps 0
+        weights = np.zeros((len(batch.lambdas), 2), dtype=dtype)
+        for row, (lam, mixed) in enumerate(zip(batch.lambdas, batch.is_mixed)):
+            w = lambda_weight(lam, mixed)
+            weights[row, :len(w)] = w
+        w_i, w_j = ad.Tensor(weights[:, 0]), ad.Tensor(weights[:, 1])
         contrast = ad.mean_all(ad.add(ad.mul(w_i, c_i), ad.mul(w_j, c_j)))
         total = ad.add(l_mix, ad.scale(contrast, cfg.beta_penalty))
         parts["loss_cos"] = float(contrast.values)

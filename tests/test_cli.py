@@ -35,6 +35,38 @@ model_channels = 2,3
 """
 
 
+# config.resolved as written before the four fixed model fields were retired
+OLD_RESOLVED = """batch_size = 128
+epochs = 70
+lr0 = 0.005
+decay_rate = 0.85
+decay_every = 4
+decay_start_epoch = 5
+decay_end_epoch = 70
+beta_penalty = 0.5
+alpha = 10.0
+mix_ratio = 0.5
+cls_loss = softmax_ce
+seed = 0
+shift_ms_low = -100.0
+shift_ms_high = 100.0
+stretch_low = 0.9
+stretch_high = 1.1
+time_mask_max = 13
+freq_mask_max = 7
+n_time_masks = 1
+n_freq_masks = 1
+model_channels = 32,64,64,128
+model_kernel_size = 3
+model_stride = 2
+model_proj_hidden = 128
+model_proj_two_layer = true
+model_n_classes = 10
+model_proj_dim = 128
+model_init_seed = 0
+"""
+
+
 @pytest.fixture(scope="module")
 def config_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "run.cfg"
@@ -80,6 +112,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             rc.parse_config("mix_ratio = 1.5\n")
 
+    def test_old_resolved_config_parses(self, tmp_path):
+        path = tmp_path / "config.resolved"
+        path.write_text(OLD_RESOLVED)
+        assert rc.load_config(path) == rc.default_settings()
+
+    @pytest.mark.parametrize("key,value", [("model_kernel_size", "5"), ("model_stride", "1"),
+                                           ("model_n_classes", "12"), ("model_proj_dim", "64")])
+    def test_retired_key_at_other_value_rejected(self, tmp_path, key, value):
+        path = tmp_path / "config.resolved"
+        path.write_text("".join(f"{key} = {value}\n" if line.startswith(key + " ")
+                                else line + "\n" for line in OLD_RESOLVED.splitlines()))
+        with pytest.raises(ConfigError) as err:
+            rc.load_config(path)
+        assert str(path) in str(err.value) and key in str(err.value)
+
 
 class TestPrepare:
     def test_writes_manifest_and_prints_counts(self, corpus, tmp_path, capsys):
@@ -91,6 +138,9 @@ class TestPrepare:
         assert "utterances" in printed and "min" in printed
         manifest = ds.read_manifest(out, corpus)
         assert len(manifest.entries) > 0
+        expected = tmp_path / "expected.tsv"
+        ds.write_manifest(expected, ds.trim_by_speaker(ds.build_manifest(corpus), 0.5, 1))
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_invalid_root_exit_2_no_partial_file(self, tmp_path):
         out = tmp_path / "manifest.tsv"

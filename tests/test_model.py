@@ -1,11 +1,27 @@
+import struct
+
 import numpy as np
 import pytest
 
 from cosmix import autodiff as ad
 from cosmix import model as md
-from cosmix.errors import CheckpointError, ShapeError
+from cosmix import runconfig as rc
+from cosmix.errors import CheckpointError, ConfigError, ShapeError
 
 TINY = md.ModelConfig(channels=(2, 3), init_seed=5)
+
+# ModelConfig().to_text() as checkpoints wrote it before they switched to
+# the run-config format: unprefixed keys, Python booleans, retired fields
+OLD_CONFIG_TEXT = ("channels = 32,64,64,128\nkernel_size = 3\nstride = 2\n"
+                   "proj_hidden = 128\nproj_two_layer = True\nn_classes = 10\n"
+                   "proj_dim = 128\ninit_seed = 0\n")
+
+
+def _with_config_text(raw, text):
+    """Checkpoint bytes with the config string replaced by ``text``."""
+    old_len = struct.unpack("<I", raw[8:12])[0]
+    new = text.encode("utf-8")
+    return raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + old_len:]
 
 
 class TestInit:
@@ -39,8 +55,8 @@ class TestInit:
             assert md.projector_forward(emb, params).values.shape == (2, 128)
 
     def test_rejects_wrong_proj_dim(self):
-        with pytest.raises(ValueError):
-            md.ModelConfig(proj_dim=64)
+        with pytest.raises(ConfigError, match="model_proj_dim"):
+            rc.parse_config("model_proj_dim = 64\n")
 
 
 class TestEncoder:
@@ -115,18 +131,21 @@ class TestHeads:
 
 
 class TestCheckpoint:
-    def _ckpt(self):
-        params = md.init_params(TINY)
-        return md.Checkpoint(config=TINY, parameters=params.copy_values(),
+    def _ckpt(self, config=TINY):
+        params = md.init_params(config)
+        return md.Checkpoint(config=config, parameters=params.copy_values(),
                              epoch=7, rng_state=b"\x01\x02seed",
                              metrics_tail={"val_acc": 0.5})
 
-    def test_round_trip_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize("config", [TINY, md.ModelConfig(channels=(8, 16), init_seed=9,
+                                                             proj_two_layer=False)],
+                             ids=["tiny", "one-layer-proj"])
+    def test_round_trip_bit_exact(self, tmp_path, config):
         path = tmp_path / "model.ckpt"
-        ckpt = self._ckpt()
+        ckpt = self._ckpt(config)
         md.save_checkpoint(path, ckpt)
         back = md.load_checkpoint(path)
-        assert back.config == TINY
+        assert back.config == config
         assert back.epoch == 7
         assert back.rng_state == b"\x01\x02seed"
         assert back.metrics_tail == {"val_acc": 0.5}
@@ -134,6 +153,30 @@ class TestCheckpoint:
         for name, values in ckpt.parameters.items():
             np.testing.assert_array_equal(back.parameters[name],
                                           np.asarray(values, dtype=np.float32))
+
+    def test_config_text_is_run_config_format(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, self._ckpt())
+        text = rc.format_model_config(TINY).encode("utf-8")
+        assert path.read_bytes()[8:12 + len(text)] == struct.pack("<I", len(text)) + text
+
+    def test_old_config_text_loads(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        md.save_checkpoint(path, self._ckpt(md.ModelConfig()))
+        path.write_bytes(_with_config_text(path.read_bytes(), OLD_CONFIG_TEXT))
+        assert md.load_checkpoint(path).config == md.ModelConfig()
+
+    @pytest.mark.parametrize("key,value", [("kernel_size", "5"), ("stride", "1"),
+                                           ("n_classes", "12"), ("proj_dim", "64")])
+    def test_retired_key_at_other_value_rejected(self, tmp_path, key, value):
+        path = tmp_path / "old.ckpt"
+        md.save_checkpoint(path, self._ckpt(md.ModelConfig()))
+        text = "".join(f"{key} = {value}\n" if line.startswith(key + " ") else line + "\n"
+                       for line in OLD_CONFIG_TEXT.splitlines())
+        path.write_bytes(_with_config_text(path.read_bytes(), text))
+        with pytest.raises(CheckpointError) as err:
+            md.load_checkpoint(path)
+        assert str(path) in str(err.value) and key in str(err.value)
 
     def test_magic_present(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -164,8 +207,3 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(CheckpointError, match="trailing"):
             md.load_checkpoint(path)
-
-    def test_config_text_round_trip(self):
-        cfg = md.ModelConfig(channels=(8, 16), kernel_size=3, init_seed=9,
-                             proj_two_layer=False)
-        assert md.ModelConfig.from_text(cfg.to_text()) == cfg

@@ -198,21 +198,6 @@ class TestTotalLoss:
         # total = loss_mix + 0.5 * mean(-1) = loss_mix - 0.5
         assert cfg.beta_penalty * np.mean(w_sum) == pytest.approx(-0.5)
 
-    def test_tracked_and_plain_targets_give_same_gradients(self, store):
-        cfg = tr.TrainConfig(batch_size=3, beta_penalty=0.7, seed=2)
-        batch = tr.compose_batch(store, [1, 5, 9], cfg)
-        grads = {}
-        for track in (False, True):
-            params = md.init_params(TINY_MODEL, dtype=np.float64)
-            params.zero_grad()
-            with ad.Tape():
-                total, _, _ = tr.total_loss(batch, params, cfg, track_targets=track)
-                ad.backward(total)
-            grads[track] = {n: t.grad.copy() for n, t in params.items() if t.grad is not None}
-        assert set(grads[False]) == set(grads[True])
-        for name in grads[False]:
-            np.testing.assert_array_equal(grads[False][name], grads[True][name])
-
     def test_full_loss_gradient_matches_finite_differences(self, store):
         # the oracle freezes the stop-gradient targets at their current
         # values; that composite's true gradient is what backward computes
@@ -271,7 +256,11 @@ class TestComposeBatch:
         np.testing.assert_array_equal(a.lambdas, b.lambdas)
 
     def test_mixed_fraction_concentrates(self, store, monkeypatch):
-        monkeypatch.setattr(tr, "_augment_view", lambda wave, rng, aug, spec: np.zeros((98, 64)))
+        # is_mixed comes from each row's stream 0, before any view is built,
+        # so skipping the costly view work cannot move the count
+        monkeypatch.setattr(tr, "time_stretch", lambda wave, rng, aug: wave)
+        monkeypatch.setattr(tr, "log_fbank_batch", lambda waves, spec, dtype:
+                            np.zeros((len(waves), 98, 64), dtype=dtype))
         cfg = tr.TrainConfig(batch_size=128, mix_ratio=0.5, seed=10)
         mixed = 0
         for b in range(100):
