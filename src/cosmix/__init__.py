@@ -14,8 +14,7 @@ from .autodiff import ParameterSet, Tape, Tensor, backward, \
 from .dataset import DatasetManifest, KeywordLabel, KEYWORDS, WavClip, \
     build_manifest, load_wav, pad_or_trim, read_manifest, synth_dataset, \
     trim_by_speaker, write_manifest, write_wav
-from .features import FBankSpec, FeatureMatrix, log_fbank, mel_filterbank, \
-    stft_power
+from .features import FeatureMatrix, log_fbank, mel_filterbank, stft_power
 from .model import Checkpoint, ModelConfig, classifier_forward, encoder_forward, \
     init_params, load_checkpoint, projector_forward, save_checkpoint
 from .runconfig import RunSettings, default_settings, format_config, load_config

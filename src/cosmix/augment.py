@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLIP_SAMPLES
+from .dataset import SAMPLE_RATE
 
 MASK_VALUE = 0.0
 
@@ -130,11 +130,11 @@ def shift_samples(wave, s):
     return out
 
 
-def time_shift(wave, rng, cfg=AugmentConfig(), sample_rate=16000):
+def time_shift(wave, rng, cfg=AugmentConfig()):
     """Random shift, uniform over the configured millisecond range."""
     wave = np.asarray(wave, dtype=np.float64)
-    lo = int(round(cfg.shift_ms_low * sample_rate / 1000.0))
-    hi = int(round(cfg.shift_ms_high * sample_rate / 1000.0))
+    lo = int(round(cfg.shift_ms_low * SAMPLE_RATE / 1000.0))
+    hi = int(round(cfg.shift_ms_high * SAMPLE_RATE / 1000.0))
     s = int(rng.integers(lo, hi + 1))
     return shift_samples(wave, s)
 

@@ -166,6 +166,7 @@ def cmd_ablate(args):
             raise ConfigError(f"unknown mode {m!r} in --modes")
 
     base_seed = settings.train.seed
+    store = tr.ClipStore(manifest)  # every cell reads the same clips
     header = ["mix_ratio"] + [f"{mode}@alpha={a:g}" for a in alphas for mode in modes]
     table = [",".join(header)]
     for ratio in ratios:
@@ -178,9 +179,9 @@ def cmd_ablate(args):
                 model_cfg = dataclasses.replace(settings.model, init_seed=cell_seed)
                 try:
                     result = tr.train(cfg, manifest, mode=mode,
-                                      aug_cfg=settings.augment, model_cfg=model_cfg)
+                                      aug_cfg=settings.augment, model_cfg=model_cfg,
+                                      store=store)
                     params = tr.params_from_values(model_cfg, result.best_values)
-                    store = tr.ClipStore(manifest)
                     acc, _ = tr.evaluate(store, "test", params)
                     row.append(f"{acc:.4f}")
                 except Exception as exc:  # cell failures never stop the sweep

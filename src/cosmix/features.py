@@ -6,58 +6,32 @@ mel filters between 20 Hz and 8 kHz, natural-log compression with a
 """
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import SAMPLE_RATE
 from .errors import FormatError
 
-FRAME_COUNT = 98
+# clips are one second long, so a clip is SAMPLE_RATE samples
+WIN_LENGTH = 400
+HOP_LENGTH = 160
+N_FFT = 512
 N_MELS = 64
-
-
-@dataclass(frozen=True)
-class FBankSpec:
-    """Front-end geometry; defaults pin the 98 x 64 output contract."""
-
-    sample_rate: int = 16000
-    win_length: int = 400
-    hop_length: int = 160
-    n_fft: int = 512
-    n_mels: int = N_MELS
-    f_min: float = 20.0
-    f_max: float = 8000.0
-    log_floor: float = 1e-10
-
-    def __post_init__(self):
-        if self.win_length > self.n_fft:
-            raise ValueError(f"win_length {self.win_length} exceeds n_fft {self.n_fft}")
-        if self.hop_length > self.win_length:
-            raise ValueError(f"hop_length {self.hop_length} exceeds win_length {self.win_length}")
-        if not (0 <= self.f_min < self.f_max <= self.sample_rate / 2):
-            raise ValueError(f"degenerate mel band [{self.f_min}, {self.f_max}]")
-        if self.n_mels != N_MELS:
-            raise ValueError(f"n_mels must be {N_MELS}, got {self.n_mels}")
-        if self.frame_count(self.sample_rate) != FRAME_COUNT:
-            raise ValueError("win/hop must yield 98 frames for a one-second clip")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
-
-    def frame_count(self, n_samples):
-        return 1 + (n_samples - self.win_length) // self.hop_length
-
-    @property
-    def n_bins(self):
-        return self.n_fft // 2 + 1
+F_MIN = 20.0
+F_MAX = 8000.0
+LOG_FLOOR = 1e-10
+FRAME_COUNT = 1 + (SAMPLE_RATE - WIN_LENGTH) // HOP_LENGTH  # 98
+N_BINS = N_FFT // 2 + 1  # 257
 
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """98 x 64 log-mel energies plus the clip they came from."""
+    """98 x 64 log-mel energies of one clip."""
 
     values: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         if self.values.shape != (FRAME_COUNT, N_MELS):
@@ -71,16 +45,19 @@ def hann_periodic(n):
     return 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
 
 
-def stft_power(wave, spec=FBankSpec()):
-    """Power spectrogram [frames, n_fft/2 + 1] of a one-second waveform."""
-    wave = np.asarray(wave, dtype=np.float64)
-    if wave.shape != (spec.sample_rate,):
-        raise ValueError(f"expected {spec.sample_rate} samples, got shape {wave.shape}")
-    n_frames = spec.frame_count(wave.size)
-    idx = np.arange(spec.win_length)[None, :] + spec.hop_length * np.arange(n_frames)[:, None]
-    frames = wave[idx] * hann_periodic(spec.win_length)[None, :]
-    spectrum = np.fft.rfft(frames, n=spec.n_fft, axis=1)
-    return np.abs(spectrum) ** 2
+def _power_batch(waves, dtype):
+    """Power spectrograms [N, FRAME_COUNT, N_BINS] of an [N, SAMPLE_RATE] stack."""
+    waves = np.asarray(waves, dtype=dtype)
+    if waves.ndim != 2 or waves.shape[1] != SAMPLE_RATE:
+        raise ValueError(f"expected [N, {SAMPLE_RATE}], got {waves.shape}")
+    idx = np.arange(WIN_LENGTH)[None, :] + HOP_LENGTH * np.arange(FRAME_COUNT)[:, None]
+    frames = waves[:, idx] * hann_periodic(WIN_LENGTH)[None, None, :].astype(dtype)
+    return np.abs(np.fft.rfft(frames, n=N_FFT, axis=2)) ** 2
+
+
+def stft_power(wave):
+    """Power spectrogram [98, 257] of a one-second waveform."""
+    return _power_batch(np.asarray(wave)[None], np.float64)[0]
 
 
 def hz_to_mel(f):
@@ -91,78 +68,48 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(spec=FBankSpec()):
-    """Triangular filters [n_mels, n_fft/2 + 1], centers even on the mel scale."""
-    if spec.f_min >= spec.f_max:
-        raise ValueError(f"degenerate mel band [{spec.f_min}, {spec.f_max}]")
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(spec.f_min), hz_to_mel(spec.f_max),
-                                     spec.n_mels + 2))
-    bin_hz = np.arange(spec.n_bins) * spec.sample_rate / spec.n_fft
+def _band_edges_hz():
+    return mel_to_hz(np.linspace(hz_to_mel(F_MIN), hz_to_mel(F_MAX), N_MELS + 2))
+
+
+@functools.cache
+def mel_filterbank():
+    """Triangular filters [64, 257], centers even on the mel scale.
+
+    Computed once; every caller shares the one read-only array.
+    """
+    edges_hz = _band_edges_hz()
+    bin_hz = np.arange(N_BINS) * SAMPLE_RATE / N_FFT
     lower, center, upper = edges_hz[:-2], edges_hz[1:-1], edges_hz[2:]
     up = (bin_hz[None, :] - lower[:, None]) / (center - lower)[:, None]
     down = (upper[:, None] - bin_hz[None, :]) / (upper - center)[:, None]
     fbank = np.maximum(0.0, np.minimum(up, down))
+    fbank.flags.writeable = False
     return fbank
 
 
-def filter_centers_hz(spec=FBankSpec()):
+def filter_centers_hz():
     """Center frequency of each triangular filter, in Hz."""
-    edges = mel_to_hz(np.linspace(hz_to_mel(spec.f_min), hz_to_mel(spec.f_max),
-                                  spec.n_mels + 2))
-    return edges[1:-1]
+    return _band_edges_hz()[1:-1]
 
 
-def log_fbank(wave, spec=FBankSpec(), provenance=""):
-    """Log-mel features of a one-second waveform -> FeatureMatrix (98 x 64)."""
-    power = stft_power(wave, spec)
-    energies = power @ mel_filterbank(spec).T
-    values = np.log(np.maximum(energies, spec.log_floor))
-    return FeatureMatrix(values=values, provenance=provenance)
-
-
-class _FBankCache:
-    """The filter matrix depends only on the spec; compute it once."""
-
-    def __init__(self):
-        self._key = None
-        self._fbank = None
-
-    def get(self, spec):
-        if self._key != spec:
-            self._fbank = mel_filterbank(spec)
-            self._key = spec
-        return self._fbank
-
-
-_cache = _FBankCache()
-
-
-def log_fbank_cached(wave, spec=FBankSpec(), provenance=""):
-    """log_fbank with the filter matrix memoized across calls."""
-    power = stft_power(wave, spec)
-    energies = power @ _cache.get(spec).T
-    values = np.log(np.maximum(energies, spec.log_floor))
-    return FeatureMatrix(values=values, provenance=provenance)
-
-
-def log_fbank_batch(waves, spec=FBankSpec(), dtype=np.float64):
+def log_fbank_batch(waves, dtype=np.float64):
     """Log-mel features for a whole [N, 16000] stack at once -> [N, 98, 64].
 
-    Same numbers as ``log_fbank`` row by row (to float rounding when
-    ``dtype`` is float32, which training uses); one FFT call for all
-    frames and one GEMM for the filterbank.
+    Training computes in float32; evaluation computes in float64 and
+    casts after. One FFT call for all frames and one GEMM for the
+    filterbank; row n equals a one-row call on ``waves[n]`` exactly.
     """
-    waves = np.asarray(waves, dtype=dtype)
-    if waves.ndim != 2 or waves.shape[1] != spec.sample_rate:
-        raise ValueError(f"expected [N, {spec.sample_rate}], got {waves.shape}")
-    n_frames = spec.frame_count(waves.shape[1])
-    idx = np.arange(spec.win_length)[None, :] + spec.hop_length * np.arange(n_frames)[:, None]
-    frames = waves[:, idx] * hann_periodic(spec.win_length)[None, None, :].astype(dtype)
-    power = np.abs(np.fft.rfft(frames, n=spec.n_fft, axis=2)) ** 2
+    power = _power_batch(waves, dtype)
     # flatten the stack so the filter application is a single GEMM
-    energies = power.reshape(-1, spec.n_bins) @ _cache.get(spec).T.astype(dtype)
-    energies = energies.reshape(waves.shape[0], n_frames, spec.n_mels)
-    return np.log(np.maximum(energies, np.asarray(spec.log_floor, dtype=dtype)))
+    energies = power.reshape(-1, N_BINS) @ mel_filterbank().T.astype(dtype, copy=False)
+    energies = energies.reshape(len(power), FRAME_COUNT, N_MELS)
+    return np.log(np.maximum(energies, np.asarray(LOG_FLOOR, dtype=dtype)))
+
+
+def log_fbank(wave):
+    """Log-mel features of a one-second waveform -> FeatureMatrix (98 x 64)."""
+    return FeatureMatrix(values=log_fbank_batch(np.asarray(wave)[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import CheckpointError, ConfigError, ShapeError
+from .features import FRAME_COUNT, N_MELS
 
 N_CLASSES = 10
 PROJ_DIM = 128
-FEAT_SHAPE = (98, 64)
+FEAT_SHAPE = (FRAME_COUNT, N_MELS)
 KERNEL_SIZE = 3
 STRIDE = 2
 PADDING = 1

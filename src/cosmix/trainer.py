@@ -19,7 +19,10 @@ from .augment import AugmentConfig, BetaParams, mixup_waveforms, sample_beta, \
     spec_augment, time_shift, time_stretch
 from .dataset import KEYWORDS, KeywordLabel, load_wav, pad_or_trim
 from .errors import ContractError, DatasetError, NumericError
-from .features import FBankSpec, log_fbank_batch, log_fbank_cached
+from .features import log_fbank_batch
+# bench/tracing.py patches the per-clip featurizer by this older name; the
+# alias goes with the next change to bench/
+from .features import log_fbank as log_fbank_cached
 from .model import Checkpoint, ModelConfig, classifier_forward, encoder_forward, \
     init_params, projector_forward, save_checkpoint
 
@@ -120,9 +123,8 @@ class TrainResult:
 class ClipStore:
     """Loads and caches padded waveforms and evaluation features."""
 
-    def __init__(self, manifest, spec=FBankSpec()):
+    def __init__(self, manifest):
         self.manifest = manifest
-        self.spec = spec
         self._waves = {}
         self._eval_feats = {}
 
@@ -136,7 +138,7 @@ class ClipStore:
     def eval_features(self, entry):
         cached = self._eval_feats.get(entry.path)
         if cached is None:
-            values = log_fbank_cached(self.wave(entry), self.spec).values
+            values = log_fbank_cached(self.wave(entry)).values
             cached = self._eval_feats[entry.path] = values.astype(np.float32)
         return cached
 
@@ -145,8 +147,8 @@ def _augment_wave(wave, rng, aug_cfg):
     return time_stretch(time_shift(wave, rng, aug_cfg), rng, aug_cfg)
 
 
-def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), spec=FBankSpec(),
-                  epoch=1, batch_idx=0, with_views=True):
+def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), epoch=1, batch_idx=0,
+                  with_views=True):
     """Build one MixedBatch; deterministic given (seed, epoch, batch index).
 
     ``indices`` selects the i-side clips from the train split; partners
@@ -193,7 +195,7 @@ def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), spec=FBankSpec()
         lambdas[row] = lam
         is_mixed[row] = mixed
 
-    feats = log_fbank_batch(waves.reshape(n_views * b, -1), spec, dtype=np.float32)
+    feats = log_fbank_batch(waves.reshape(n_views * b, -1), dtype=np.float32)
     feats = feats.reshape(n_views, b, *feats.shape[1:])
     for v in range(n_views):
         for row in range(b):
@@ -332,35 +334,33 @@ def _forward_embeddings(feats, params):
         return encoder_forward(ad.Tensor(feats), params).values
 
 
-def evaluate(store, split, params, eval_batch=256):
-    """Accuracy and confusion matrix on a split, no augmentation applied."""
+def _forward_split(store, split, params, forward, eval_batch):
+    """Run ``forward`` on a split's evaluation features, ``eval_batch``
+    clips at a time; returns the entries and the stacked outputs."""
     entries = store.manifest.split_entries(split)
     if not entries:
         raise ValueError(f"split {split!r} is empty")
+    outputs = [forward(np.stack([store.eval_features(e)
+                                 for e in entries[start:start + eval_batch]]), params)
+               for start in range(0, len(entries), eval_batch)]
+    return entries, np.concatenate(outputs)
+
+
+def evaluate(store, split, params, eval_batch=256):
+    """Accuracy and confusion matrix on a split, no augmentation applied."""
+    entries, logits = _forward_split(store, split, params, _forward_logits, eval_batch)
     confusion = np.zeros((len(KEYWORDS), len(KEYWORDS)), dtype=np.int64)
-    for start in range(0, len(entries), eval_batch):
-        chunk = entries[start:start + eval_batch]
-        feats = np.stack([store.eval_features(e) for e in chunk])
-        logits = _forward_logits(feats, params)
-        preds = logits.argmax(axis=1)  # ties resolve to the lowest index
-        for e, p in zip(chunk, preds):
-            confusion[e.label, int(p)] += 1
+    for e, p in zip(entries, logits.argmax(axis=1)):  # ties go to the lowest index
+        confusion[e.label, int(p)] += 1
     accuracy = float(np.trace(confusion)) / len(entries)
     return accuracy, confusion
 
 
 def export_embeddings(store, split, params, path, eval_batch=256):
     """One CSV record per utterance: label index then the embedding values."""
-    entries = store.manifest.split_entries(split)
-    if not entries:
-        raise ValueError(f"split {split!r} is empty")
-    lines = []
-    for start in range(0, len(entries), eval_batch):
-        chunk = entries[start:start + eval_batch]
-        feats = np.stack([store.eval_features(e) for e in chunk])
-        emb = _forward_embeddings(feats, params)
-        for e, row in zip(chunk, emb):
-            lines.append(",".join([str(e.label)] + [repr(float(x)) for x in row]))
+    entries, emb = _forward_split(store, split, params, _forward_embeddings, eval_batch)
+    lines = [",".join([str(e.label)] + [repr(float(x)) for x in row])
+             for e, row in zip(entries, emb)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return len(entries)
@@ -386,9 +386,8 @@ def _dominant_label(y_i, y_j, lambdas):
 
 
 def train(cfg, manifest, mode="cosmix", aug_cfg=AugmentConfig(),
-          model_cfg=ModelConfig(), spec=FBankSpec(), metrics_path=None,
-          checkpoint_dir=None, resume_from=None, clock=time.monotonic,
-          store=None):
+          model_cfg=ModelConfig(), metrics_path=None, checkpoint_dir=None,
+          resume_from=None, clock=time.monotonic, store=None):
     """Run the full loop; returns metrics history and the best parameters.
 
     One epoch visits every train entry once in seeded shuffled order.
@@ -398,7 +397,7 @@ def train(cfg, manifest, mode="cosmix", aug_cfg=AugmentConfig(),
     """
     eff = resolve_mode(cfg, mode)
     if store is None:
-        store = ClipStore(manifest, spec)
+        store = ClipStore(manifest)
     elif store.manifest is not manifest:
         raise ContractError("store was built for a different manifest")
     n_train = len(manifest.split_entries("train"))
@@ -439,9 +438,8 @@ def train(cfg, manifest, mode="cosmix", aug_cfg=AugmentConfig(),
             losses_this_epoch = []
             for batch_idx in range(0, (n_train + eff.batch_size - 1) // eff.batch_size):
                 indices = order[batch_idx * eff.batch_size:(batch_idx + 1) * eff.batch_size]
-                batch = compose_batch(store, indices, eff, aug_cfg, spec,
-                                      epoch=epoch, batch_idx=batch_idx,
-                                      with_views=with_views)
+                batch = compose_batch(store, indices, eff, aug_cfg, epoch=epoch,
+                                      batch_idx=batch_idx, with_views=with_views)
                 params.zero_grad()
                 try:
                     with ad.Tape():

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .augment import BetaParams, sample_beta
-from .features import FBankSpec, hann_periodic, stft_power
+from .features import HOP_LENGTH, N_BINS, N_FFT, WIN_LENGTH, hann_periodic, stft_power
 from .model import ModelConfig, init_params
 from .trainer import MixedBatch, TrainConfig, lambda_weight, loss_mix, total_loss
 
@@ -204,18 +204,16 @@ def suite_beta_variance():
 
 def suite_dft_oracle():
     rng = np.random.default_rng(114)
-    spec = FBankSpec()
     wave = rng.normal(size=16000)
-    power = stft_power(wave, spec)
-    win = hann_periodic(spec.win_length)
-    k = np.arange(spec.n_bins)[:, None]
-    n = np.arange(spec.n_fft)[None, :]
-    basis = np.exp(-2j * np.pi * k * n / spec.n_fft)
+    power = stft_power(wave)
+    win = hann_periodic(WIN_LENGTH)
+    k = np.arange(N_BINS)[:, None]
+    n = np.arange(N_FFT)[None, :]
+    basis = np.exp(-2j * np.pi * k * n / N_FFT)
     worst = 0.0
     for t in rng.choice(98, size=8, replace=False):
-        frame = np.zeros(spec.n_fft)
-        frame[:spec.win_length] = wave[t * spec.hop_length:
-                                       t * spec.hop_length + spec.win_length] * win
+        frame = np.zeros(N_FFT)
+        frame[:WIN_LENGTH] = wave[t * HOP_LENGTH:t * HOP_LENGTH + WIN_LENGTH] * win
         oracle = np.abs(basis @ frame) ** 2
         rel = np.abs(power[t] - oracle) / np.maximum(np.abs(oracle), 1.0)
         worst = max(worst, rel.max())

@@ -18,7 +18,8 @@ from cosmix import dataset as ds
 from cosmix import model as md
 from cosmix import trainer as tr
 from cosmix import verify as vf
-from cosmix.features import FBankSpec, hann_periodic, log_fbank, stft_power
+from cosmix.features import HOP_LENGTH, N_BINS, N_FFT, WIN_LENGTH, hann_periodic, \
+    log_fbank, stft_power
 
 # desk-scale protocol: 20 train clips per class (35 per class over seven
 # 5-clip speakers, split 4/1/2), noise 0.3, three seeds, <= 40 epochs
@@ -99,18 +100,16 @@ def test_criterion_3_feature_pipeline():
     shapes_ok = all(log_fbank(w).values.shape == (98, 64) for w in
                     (np.zeros(16000), rng.normal(size=16000) * 0.1,
                      np.sin(np.arange(16000) / 5.0)))
-    spec = FBankSpec()
     wave = rng.normal(size=16000)
-    power = stft_power(wave, spec)
-    win = hann_periodic(spec.win_length)
-    k = np.arange(spec.n_bins)[:, None]
-    n = np.arange(spec.n_fft)[None, :]
-    basis = np.exp(-2j * np.pi * k * n / spec.n_fft)
+    power = stft_power(wave)
+    win = hann_periodic(WIN_LENGTH)
+    k = np.arange(N_BINS)[:, None]
+    n = np.arange(N_FFT)[None, :]
+    basis = np.exp(-2j * np.pi * k * n / N_FFT)
     worst = 0.0
     for t in rng.choice(98, size=10, replace=False):
-        frame = np.zeros(spec.n_fft)
-        frame[:spec.win_length] = wave[t * spec.hop_length:
-                                       t * spec.hop_length + spec.win_length] * win
+        frame = np.zeros(N_FFT)
+        frame[:WIN_LENGTH] = wave[t * HOP_LENGTH:t * HOP_LENGTH + WIN_LENGTH] * win
         oracle = np.abs(basis @ frame) ** 2
         worst = max(worst, (np.abs(power[t] - oracle) /
                             np.maximum(np.abs(oracle), 1.0)).max())

@@ -5,6 +5,7 @@ import pytest
 
 from cosmix import dataset as ds
 from cosmix import runconfig as rc
+from cosmix import trainer as tr
 from cosmix.cli import main
 from cosmix.errors import ConfigError
 
@@ -257,6 +258,23 @@ class TestAblate:
         table = (run_dir / "ablation.csv").read_text().splitlines()
         assert len(table) == 3  # header + 2 ratios
         assert len(table[1].split(",")) == 1 + 4  # ratio + 2 alphas x 2 modes
+
+    def test_sweep_reads_each_clip_once(self, corpus, manifest_file, config_file,
+                                        tmp_path, monkeypatch):
+        loaded = []
+
+        def counting_load_wav(path, *args, **kwargs):
+            loaded.append(path)
+            return ds.load_wav(path, *args, **kwargs)
+        monkeypatch.setattr(tr, "load_wav", counting_load_wav)
+        code = main(["ablate", "--config", str(config_file),
+                     "--manifest", str(manifest_file), "--data-root", str(corpus),
+                     "--run-dir", str(tmp_path / "sweep3"), "--epochs", "1",
+                     "--mix-ratios", "0.3,0.7", "--alphas", "10",
+                     "--modes", "mixup,cosmix"])
+        assert code == 0
+        entries = ds.read_manifest(manifest_file, corpus).entries
+        assert sorted(loaded) == sorted(e.path for e in entries)
 
 
 class TestVerifyCommand:

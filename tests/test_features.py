@@ -14,21 +14,6 @@ def naive_power_spectrum(frame, n_fft):
     return np.abs(basis @ padded) ** 2
 
 
-class TestSpec:
-    def test_defaults_give_98_frames(self):
-        assert ft.FBankSpec().frame_count(16000) == 98
-
-    def test_rejects_bad_geometry(self):
-        with pytest.raises(ValueError):
-            ft.FBankSpec(win_length=600, n_fft=512)
-        with pytest.raises(ValueError):
-            ft.FBankSpec(hop_length=500)
-        with pytest.raises(ValueError):
-            ft.FBankSpec(f_min=9000.0)
-        with pytest.raises(ValueError):
-            ft.FBankSpec(f_min=500.0, f_max=100.0)
-
-
 class TestStftPower:
     def test_zero_wave_zero_spectrogram(self):
         out = ft.stft_power(np.zeros(16000))
@@ -56,23 +41,21 @@ class TestStftPower:
 
     def test_matches_naive_dft_oracle(self):
         rng = np.random.default_rng(2)
-        spec = ft.FBankSpec()
         wave = rng.normal(size=16000)
-        power = ft.stft_power(wave, spec)
-        win = ft.hann_periodic(spec.win_length)
+        power = ft.stft_power(wave)
+        win = ft.hann_periodic(ft.WIN_LENGTH)
         for t in rng.choice(98, size=6, replace=False):
-            frame = wave[t * spec.hop_length:t * spec.hop_length + spec.win_length] * win
-            oracle = naive_power_spectrum(frame, spec.n_fft)
+            frame = wave[t * ft.HOP_LENGTH:t * ft.HOP_LENGTH + ft.WIN_LENGTH] * win
+            oracle = naive_power_spectrum(frame, ft.N_FFT)
             scale = np.maximum(np.abs(oracle), 1.0)
             assert np.max(np.abs(power[t] - oracle) / scale) < 1e-9
 
     def test_frame_covers_hop_offsets(self):
         # frame t covers [t*hop, t*hop + win); an impulse inside frame 5
         # is invisible to frame 6, which starts after it
-        spec = ft.FBankSpec()
         wave = np.zeros(16000)
-        wave[spec.hop_length * 5 + 50] = 1.0
-        power = ft.stft_power(wave, spec)
+        wave[ft.HOP_LENGTH * 5 + 50] = 1.0
+        power = ft.stft_power(wave)
         assert power[5].sum() > 0
         assert power[6].sum() == 0
 
@@ -89,7 +72,7 @@ class TestMelFilterbank:
         assert np.all(np.diff(centers) > 0)
 
     def test_center_range_for_default_band(self):
-        centers = ft.filter_centers_hz(ft.FBankSpec(f_min=20.0, f_max=8000.0))
+        centers = ft.filter_centers_hz()
         assert centers[0] < centers[63] < 8000.0
         # first center sits just above f_min on the mel scale
         mel_pts = np.linspace(ft.hz_to_mel(20.0), ft.hz_to_mel(8000.0), 66)
@@ -102,9 +85,8 @@ class TestMelFilterbank:
 
 class TestLogFbank:
     def test_zero_wave_hits_floor(self):
-        spec = ft.FBankSpec()
-        feat = ft.log_fbank(np.zeros(16000), spec)
-        np.testing.assert_allclose(feat.values, np.log(spec.log_floor), atol=1e-12)
+        feat = ft.log_fbank(np.zeros(16000))
+        np.testing.assert_allclose(feat.values, np.log(ft.LOG_FLOOR), atol=1e-12)
 
     def test_shape_is_98_by_64(self):
         rng = np.random.default_rng(3)
@@ -113,38 +95,29 @@ class TestLogFbank:
 
     def test_floor_is_lower_bound(self):
         rng = np.random.default_rng(4)
-        spec = ft.FBankSpec()
-        feat = ft.log_fbank(rng.normal(size=16000) * 1e-8, spec)
-        assert feat.values.min() >= np.log(spec.log_floor) - 1e-12
+        feat = ft.log_fbank(rng.normal(size=16000) * 1e-8)
+        assert feat.values.min() >= np.log(ft.LOG_FLOOR) - 1e-12
 
     def test_scaling_by_two_bounded_by_log4(self):
         rng = np.random.default_rng(5)
         wave = rng.normal(size=16000) * 0.1
-        spec = ft.FBankSpec()
-        a = ft.log_fbank(wave, spec).values
-        b = ft.log_fbank(2 * wave, spec).values
+        a = ft.log_fbank(wave).values
+        b = ft.log_fbank(2 * wave).values
         delta = b - a
         assert delta.max() <= np.log(4.0) + 1e-9
-        floored = np.isclose(a, np.log(spec.log_floor))
+        floored = np.isclose(a, np.log(ft.LOG_FLOOR))
         assert np.all(delta[floored] >= -1e-12)
 
     def test_time_shift_covariance_on_interior_rows(self):
         rng = np.random.default_rng(6)
-        spec = ft.FBankSpec()
         wave = rng.normal(size=16000)
         shifted = np.zeros_like(wave)
-        shifted[spec.hop_length:] = wave[:-spec.hop_length]
-        a = ft.log_fbank(wave, spec).values
-        b = ft.log_fbank(shifted, spec).values
+        shifted[ft.HOP_LENGTH:] = wave[:-ft.HOP_LENGTH]
+        a = ft.log_fbank(wave).values
+        b = ft.log_fbank(shifted).values
         # row t of the shifted clip sees what row t-1 of the original saw,
         # except near the edges
         np.testing.assert_allclose(b[10:90], a[9:89], atol=1e-9)
-
-    def test_cached_variant_matches(self):
-        rng = np.random.default_rng(7)
-        wave = rng.normal(size=16000)
-        np.testing.assert_array_equal(ft.log_fbank(wave).values,
-                                      ft.log_fbank_cached(wave).values)
 
     def test_batch_variant_matches_rowwise(self):
         rng = np.random.default_rng(8)
@@ -152,7 +125,23 @@ class TestLogFbank:
         batch = ft.log_fbank_batch(waves)
         assert batch.shape == (4, 98, 64)
         single = np.stack([ft.log_fbank(w).values for w in waves])
-        np.testing.assert_allclose(batch, single, atol=1e-12)
+        np.testing.assert_array_equal(batch, single)
+
+    def test_stft_power_is_row_of_batched_power(self):
+        rng = np.random.default_rng(9)
+        waves = rng.normal(size=(3, 16000))
+        batched = ft._power_batch(waves, np.float64)
+        for row, wave in enumerate(waves):
+            np.testing.assert_array_equal(ft.stft_power(wave), batched[row])
+
+    def test_filterbank_writes_cannot_change_features(self):
+        rng = np.random.default_rng(10)
+        wave = rng.normal(size=16000)
+        before = ft.log_fbank(wave).values
+        fbank = ft.mel_filterbank()
+        with pytest.raises(ValueError):
+            fbank *= 2.0
+        np.testing.assert_array_equal(ft.log_fbank(wave).values, before)
 
     def test_batch_variant_rejects_bad_shape(self):
         with pytest.raises(ValueError):

@@ -259,7 +259,7 @@ class TestComposeBatch:
         # is_mixed comes from each row's stream 0, before any view is built,
         # so skipping the costly view work cannot move the count
         monkeypatch.setattr(tr, "time_stretch", lambda wave, rng, aug: wave)
-        monkeypatch.setattr(tr, "log_fbank_batch", lambda waves, spec, dtype:
+        monkeypatch.setattr(tr, "log_fbank_batch", lambda waves, dtype:
                             np.zeros((len(waves), 98, 64), dtype=dtype))
         cfg = tr.TrainConfig(batch_size=128, mix_ratio=0.5, seed=10)
         mixed = 0
