@@ -10,20 +10,21 @@ from pathlib import Path
 
 from cosmix import build_manifest, synth_dataset, trim_by_speaker, write_manifest
 
-tmp = Path(tempfile.mkdtemp())
-manifest = synth_dataset(tmp, n_per_class=35, noise_level=0.2, seed=3)
-print("synthetic corpus:", manifest.counts())
+with tempfile.TemporaryDirectory() as tmp_name:
+    tmp = Path(tmp_name)
+    manifest = synth_dataset(tmp, n_per_class=35, noise_level=0.2, seed=3)
+    print("synthetic corpus:", manifest.counts())
 
-for fraction in (1.0, 0.5, 0.25, 0.1):
-    trimmed = trim_by_speaker(manifest, fraction, seed=17)
-    counts = trimmed.counts()
-    speakers = len({e.speaker_id for e in trimmed.entries if e.split == "train"})
-    print(f"fraction {fraction:4.2f}: train {counts['train']:3d} utterances "
-          f"from {speakers:2d} speakers; val {counts['validation']}, "
-          f"test {counts['test']} (untouched)")
+    for fraction in (1.0, 0.5, 0.25, 0.1):
+        trimmed = trim_by_speaker(manifest, fraction, seed=17)
+        counts = trimmed.counts()
+        speakers = len({e.speaker_id for e in trimmed.entries if e.split == "train"})
+        print(f"fraction {fraction:4.2f}: train {counts['train']:3d} utterances "
+              f"from {speakers:2d} speakers; val {counts['validation']}, "
+              f"test {counts['test']} (untouched)")
 
-out = tmp / "manifest_10pct.tsv"
-write_manifest(out, trim_by_speaker(manifest, 0.1, seed=17))
-print(f"\nserialized manifest preview ({out.name}):")
-for line in out.read_text().splitlines()[:3]:
-    print("   ", line)
+    out = tmp / "manifest_10pct.tsv"
+    write_manifest(out, trim_by_speaker(manifest, 0.1, seed=17))
+    print(f"\nserialized manifest preview ({out.name}):")
+    for line in out.read_text().splitlines()[:3]:
+        print("   ", line)

@@ -1,10 +1,12 @@
 """Minimal reverse-mode autodiff on numpy arrays.
 
-Exactly the primitives the keyword model and its losses need: dense /
-conv2d / relu / pooling, row normalization, the two classification
-losses, stop_gradient, and a finite-difference harness to check every
-gradient rule. Recording is explicit: ops are taped only while a
-``Tape`` context is active, so plain calls double as inference mode.
+Exactly the primitives the keyword model and its losses need: dense,
+relu, a fused conv -> bias -> relu block and global average pooling
+(both channels-last, [B, H, W, C]), row normalization, the two
+classification losses, stop_gradient, and a finite-difference harness
+to check every gradient rule. Recording is explicit: ops are taped
+only while a ``Tape`` context is active, so plain calls double as
+inference mode.
 """
 from __future__ import annotations
 
@@ -141,9 +143,18 @@ def _tracked_on(t, tape):
     return t.tape is tape and t.tape_id is not None
 
 
-def _record(op, values, parents, vjp):
+def _check_finite(op, values):
     if not np.all(np.isfinite(values)):
         raise NumericError(f"non-finite forward values in op '{op}'")
+
+
+def _record(op, values, parents, vjp):
+    _check_finite(op, values)
+    return _node(op, values, parents, vjp)
+
+
+def _node(op, values, parents, vjp):
+    """Wrap an op's output, already checked finite, and tape it if needed."""
     out = Tensor(values)
     out.op = op
     tape = Tape.current()
@@ -323,26 +334,31 @@ def dense(x, w, b):
     return _record("dense", xv @ wv + b.values, (x, w, b), vjp)
 
 
-def conv2d(x, k, stride=1, padding=0):
-    """Cross-correlation of [B, C, H, W] with [O, C, kh, kw] kernels.
+def conv2d(x, k, b, stride=1, padding=0):
+    """One conv block, channels-last: ``relu(x ⋆ k + b)``.
 
-    Computed channels-last as im2col plus one GEMM per product. The
-    input is padded once into a [B, Hp, Wp, C] buffer, whose strided
-    [B, Ho, Wo, kh, kw, C] window view is copied once into the
-    [B*Ho*Wo, kh*kw*C] ``cols`` matrix; with ``kmat`` the kernel
-    reordered to [O, kh*kw*C], the forward is ``cols @ kmat.T``. In
-    backward, with ``g2`` the output gradient as [B*Ho*Wo, O], the
-    weight gradient is ``g2.T @ cols`` and the input gradient is
-    ``g2 @ kmat`` scattered back by one strided add per kernel offset
-    (col2im). The vjp closure keeps ``cols`` and ``kmat``.
+    [B, H, W, C] input, [O, C, kh, kw] kernels, [O] bias -> [B, Ho, Wo, O].
+    Computed as im2col plus one GEMM per product: the input is padded
+    once into a [B, Hp, Wp, C] buffer whose strided [B, Ho, Wo, kh, kw, C]
+    window view is copied once into the [B*Ho*Wo, kh*kw*C] ``cols``
+    matrix; with ``kmat`` the kernel as [O, kh*kw*C], ``cols @ kmat.T``
+    is the output in [B*Ho*Wo, O] order. Bias and relu are applied in
+    place with the finiteness check between them, so a non-finite
+    pre-activation raises even where the relu would clamp it. In
+    backward, ``g2`` is the output gradient masked by ``out > 0``, as
+    [B*Ho*Wo, O]: the weight gradient is ``g2.T @ cols`` and the input
+    gradient ``g2 @ kmat`` scattered back by one strided add per kernel
+    offset (col2im). The vjp closure keeps ``cols``, ``kmat`` and the
+    output.
     """
-    x, k = as_tensor(x), as_tensor(k)
+    x, k, b = as_tensor(x), as_tensor(k), as_tensor(b)
     _want_rank(x, 4, "conv2d", "x")
     _want_rank(k, 4, "conv2d", "k")
-    if x.values.shape[1] != k.values.shape[1]:
+    if x.values.shape[3] != k.values.shape[1]:
         raise ShapeError(f"conv2d: x {x.values.shape} vs k {k.values.shape}")
+    _want(b, (k.values.shape[0],), "conv2d", "b")
     stride, padding = int(stride), int(padding)
-    bsz, cin, h, w = x.values.shape
+    bsz, h, w, cin = x.values.shape
     cout, _, kh, kw = k.values.shape
     hp, wp = h + 2 * padding, w + 2 * padding
     if hp < kh or wp < kw:
@@ -351,16 +367,24 @@ def conv2d(x, k, stride=1, padding=0):
     wo = (wp - kw) // stride + 1
 
     xp = np.zeros((bsz, hp, wp, cin), dtype=x.values.dtype)
-    xp[:, padding:padding + h, padding:padding + w] = x.values.transpose(0, 2, 3, 1)
+    xp[:, padding:padding + h, padding:padding + w] = x.values
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
     windows = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
     cols = windows.reshape(bsz * ho * wo, kh * kw * cin)
     kmat = k.values.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    out = np.ascontiguousarray((cols @ kmat.T).reshape(bsz, ho, wo, cout).transpose(0, 3, 1, 2))
+    out = cols @ kmat.T
+    out += b.values
+    _check_finite("conv2d", out)
+    np.maximum(out, 0, out=out)
+    out = out.reshape(bsz, ho, wo, cout)
 
     def vjp(g):
-        g = _sabotage("conv2d", g)
-        g2 = g.transpose(0, 2, 3, 1).reshape(bsz * ho * wo, cout)
+        g = _sabotage("conv2d", g) * (out > 0)
+        g2 = g.reshape(bsz * ho * wo, cout)
+        if _wants_grad(b):
+            # summed in the order of a channels-first [B, O, Ho, Wo] map: a
+            # row-wise sum rounds differently, enough to move training results
+            _accum(b, np.ascontiguousarray(g.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3)))
         if _wants_grad(k):
             _accum(k, (g2.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         if _wants_grad(x):
@@ -370,9 +394,8 @@ def conv2d(x, k, stride=1, padding=0):
                 for j in range(kw):
                     dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
                         dcols[:, :, :, i, j]
-            _accum(x, np.ascontiguousarray(
-                dxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)))
-    return _record("conv2d", out, (x, k), vjp)
+            _accum(x, dxp[:, padding:padding + h, padding:padding + w])
+    return _node("conv2d", out, (x, k, b), vjp)
 
 
 def channel_bias_add(x, b):
@@ -388,14 +411,20 @@ def channel_bias_add(x, b):
 
 
 def global_avg_pool(x):
-    """Mean over the spatial axes of [B, C, H, W] -> [B, C]."""
+    """Mean over the spatial axes of channels-last [B, H, W, C] -> [B, C].
+
+    The mean is taken over a [B, C, H, W] copy, which sums each channel
+    in the order of a channels-first map, so the result equals a
+    channels-first pool's bit for bit; the encoder's last map is 7x4.
+    """
     x = as_tensor(x)
     _want_rank(x, 4, "global_avg_pool", "x")
-    _, _, h, w = x.values.shape
+    _, h, w, _ = x.values.shape
 
     def vjp(g):
-        _accum(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.values.shape))
-    return _record("global_avg_pool", x.values.mean(axis=(2, 3)), (x,), vjp)
+        _accum(x, np.broadcast_to(g[:, None, None, :] / (h * w), x.values.shape))
+    pooled = np.ascontiguousarray(x.values.transpose(0, 3, 1, 2)).mean(axis=(2, 3))
+    return _record("global_avg_pool", pooled, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

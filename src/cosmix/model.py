@@ -1,8 +1,9 @@
 """The acoustic encoder, classifier head, and contrastive projector.
 
-The reference "tinyconv" encoder is four 3x3 stride-2 conv blocks
-(channels 32-64-64-128) with relu and a global average pool, sized to
-roughly 0.13M inference parameters. The projector maps the embedding
+The reference "tinyconv" encoder is four 3x3 stride-2 conv -> bias ->
+relu blocks (channels 32-64-64-128) and a global average pool, run
+channels-last and sized to roughly 0.13M inference parameters; kernels
+are stored [O, C, kh, kw]. The projector maps the embedding
 into the 128-dimensional space where the contrastive loss lives; by
 default it is dense -> relu -> dense so its output is not relu-clipped,
 with a single dense+relu variant behind ``proj_two_layer=False``.
@@ -94,16 +95,19 @@ def n_blocks(params):
 
 
 def encoder_forward(feats, params):
-    """[B, 98, 64] features -> [B, D] embeddings through the conv stack."""
+    """[B, 98, 64] features -> [B, D] embeddings through the conv stack.
+
+    The stack runs channels-last: the features enter as a one-channel
+    [B, 98, 64, 1] map and each block is one fused conv2d op.
+    """
     feats = ad.as_tensor(feats)
     if feats.values.ndim != 3 or feats.values.shape[1:] != FEAT_SHAPE:
         raise ShapeError(f"encoder expects [B, 98, 64], got {feats.values.shape}")
     b = feats.values.shape[0]
-    x = ad.reshape(feats, (b, 1) + FEAT_SHAPE)
+    x = ad.reshape(feats, (b,) + FEAT_SHAPE + (1,))
     for i in range(n_blocks(params)):
-        x = ad.conv2d(x, params[f"enc{i}.w"], stride=STRIDE, padding=PADDING)
-        x = ad.channel_bias_add(x, params[f"enc{i}.b"])
-        x = ad.relu(x)
+        x = ad.conv2d(x, params[f"enc{i}.w"], params[f"enc{i}.b"],
+                      stride=STRIDE, padding=PADDING)
     return ad.global_avg_pool(x)
 
 

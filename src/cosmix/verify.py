@@ -52,25 +52,26 @@ def suite_dense_grad():
 
 def _conv2d_fd(rng, x_shape, k_shape):
     return _fd(lambda p: ad.sum_all(ad.mul(
-        ad.conv2d(p["x"], p["k"], stride=2, padding=1),
-        ad.conv2d(p["x"], p["k"], stride=2, padding=1))),
-        {"x": rng.normal(size=x_shape), "k": rng.normal(size=k_shape)})
+        ad.conv2d(p["x"], p["k"], p["b"], stride=2, padding=1),
+        ad.conv2d(p["x"], p["k"], p["b"], stride=2, padding=1))),
+        {"x": rng.normal(size=x_shape), "k": rng.normal(size=k_shape),
+         "b": rng.normal(size=k_shape[0])})
 
 
 def suite_conv2d_grad():
-    err = _conv2d_fd(np.random.default_rng(102), (2, 2, 6, 5), (3, 2, 3, 3))
+    err = _conv2d_fd(np.random.default_rng(102), (2, 6, 5, 2), (3, 2, 3, 3))
     return _result("conv2d_grad", err, 1e-6)
 
 
 def suite_conv2d_c1_grad():
     """Encoder block 0's geometry: one input channel, odd height and width."""
-    err = _conv2d_fd(np.random.default_rng(115), (2, 1, 7, 5), (3, 1, 3, 3))
+    err = _conv2d_fd(np.random.default_rng(115), (2, 7, 5, 1), (3, 1, 3, 3))
     return _result("conv2d_c1_grad", err, 1e-6)
 
 
 def suite_relu_pool_grad():
     rng = np.random.default_rng(103)
-    x = rng.normal(size=(2, 3, 4, 4))
+    x = rng.normal(size=(2, 4, 4, 3))
     x[np.abs(x) < 1e-3] = 0.25
     err = _fd(lambda p: ad.sum_all(ad.mul(
         ad.global_avg_pool(ad.relu(p["x"])),

@@ -54,35 +54,50 @@ class TestDense:
         assert err < 1e-6
 
 
+def nhwc(a):
+    return a.transpose(0, 2, 3, 1)
+
+
 class TestConv2d:
     def test_1x1_identity(self):
-        x = np.random.default_rng(2).normal(size=(2, 3, 4, 5))
+        x = np.random.default_rng(2).normal(size=(2, 4, 5, 3))
         k = np.zeros((3, 3, 1, 1))
         for c in range(3):
             k[c, c, 0, 0] = 1.0
-        out = ad.conv2d(ad.Tensor(x), ad.Tensor(k))
-        np.testing.assert_allclose(out.values, x, atol=1e-12)
+        out = ad.conv2d(ad.Tensor(x), ad.Tensor(k), ad.Tensor(np.zeros(3)))
+        np.testing.assert_allclose(out.values, np.maximum(x, 0), atol=1e-12)
 
     def test_all_ones_counting(self):
-        out = ad.conv2d(ad.Tensor(np.ones((1, 1, 5, 5))), ad.Tensor(np.ones((1, 1, 3, 3))))
-        np.testing.assert_array_equal(out.values, np.full((1, 1, 3, 3), 9.0))
+        out = ad.conv2d(ad.Tensor(np.ones((1, 5, 5, 1))), ad.Tensor(np.ones((1, 1, 3, 3))),
+                        ad.Tensor(np.zeros(1)))
+        np.testing.assert_array_equal(out.values, np.full((1, 3, 3, 1), 9.0))
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 0), (1, 1)])
     def test_matches_naive_oracle(self, stride, padding):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 7, 6))
         k = rng.normal(size=(4, 3, 3, 3))
-        out = ad.conv2d(ad.Tensor(x), ad.Tensor(k), stride=stride, padding=padding)
-        np.testing.assert_allclose(out.values, naive_conv2d(x, k, stride, padding), atol=1e-10)
+        b = rng.normal(size=4)
+        out = ad.conv2d(ad.Tensor(nhwc(x)), ad.Tensor(k), ad.Tensor(b),
+                        stride=stride, padding=padding)
+        expected = np.maximum(naive_conv2d(x, k, stride, padding) + b[None, :, None, None], 0)
+        np.testing.assert_allclose(out.values, nhwc(expected), atol=1e-10)
 
     def test_output_spatial_size(self):
-        out = ad.conv2d(ad.Tensor(np.zeros((1, 1, 98, 64))), ad.Tensor(np.zeros((8, 1, 3, 3))),
-                        stride=2, padding=1)
-        assert out.values.shape == (1, 8, 49, 32)
+        out = ad.conv2d(ad.Tensor(np.zeros((1, 98, 64, 1))), ad.Tensor(np.zeros((8, 1, 3, 3))),
+                        ad.Tensor(np.zeros(8)), stride=2, padding=1)
+        assert out.values.shape == (1, 49, 32, 8)
 
     def test_kernel_larger_than_input(self):
         with pytest.raises(ShapeError):
-            ad.conv2d(ad.Tensor(np.zeros((1, 1, 2, 2))), ad.Tensor(np.zeros((1, 1, 3, 3))))
+            ad.conv2d(ad.Tensor(np.zeros((1, 2, 2, 1))), ad.Tensor(np.zeros((1, 1, 3, 3))),
+                      ad.Tensor(np.zeros(1)))
+
+    def test_preactivation_overflow_raises_before_relu(self):
+        # x * k overflows to -inf, which the relu would clamp to 0
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="conv2d"):
+            ad.conv2d(ad.Tensor(np.full((1, 3, 3, 1), 1e200)),
+                      ad.Tensor(np.full((1, 1, 3, 3), -1e200)), ad.Tensor(np.zeros(1)))
 
     @pytest.mark.parametrize("x_shape,k_shape", [((2, 2, 5, 4), (3, 2, 3, 3)),
                                                  ((2, 1, 5, 7), (3, 1, 3, 3))],
@@ -90,13 +105,21 @@ class TestConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 0), (1, 1)])
     def test_gradients_match_finite_differences(self, stride, padding, x_shape, k_shape):
         rng = np.random.default_rng(4)
-        arrays = {"x": rng.normal(size=x_shape), "k": rng.normal(size=k_shape)}
+        x, k, b = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+        conv = naive_conv2d(x, k, stride, padding)
+        # keep the relu kink far outside the finite-difference step: shift
+        # the bias of any channel with a pre-activation near zero
+        b += 0.1 * (np.abs(conv + b[None, :, None, None]).min(axis=(0, 2, 3)) < 1e-3)
+        assert np.abs(conv + b[None, :, None, None]).min() >= 1e-3
         # a random weight per output makes the upstream gradient non-uniform,
         # so a misplaced index in the gather or the col2im scatter shows
-        out_shape = naive_conv2d(arrays["x"], arrays["k"], stride, padding).shape
-        weights = ad.Tensor(rng.normal(size=out_shape))
+        weights = ad.Tensor(rng.normal(size=nhwc(conv).shape))
+        # the loss is linear in each coordinate between kinks, so the step
+        # adds no truncation error; h=1e-5 keeps the rounding error of the
+        # difference below the tolerance on the smallest gradients
         err = fd_for(lambda p: ad.sum_all(ad.mul(
-            ad.conv2d(p["x"], p["k"], stride=stride, padding=padding), weights)), arrays)
+            ad.conv2d(p["x"], p["k"], p["b"], stride=stride, padding=padding), weights)),
+            {"x": nhwc(x).copy(), "k": k, "b": b}, h=1e-5)
         assert err < 1e-6
 
 
@@ -106,12 +129,12 @@ class TestPointwise:
         np.testing.assert_array_equal(out.values, [0.0, 0.0, 2.0])
 
     def test_pool_of_constant(self):
-        out = ad.global_avg_pool(ad.Tensor(np.full((2, 3, 4, 5), 7.5)))
+        out = ad.global_avg_pool(ad.Tensor(np.full((2, 4, 5, 3), 7.5)))
         np.testing.assert_array_equal(out.values, np.full((2, 3), 7.5))
 
     def test_relu_pool_gradients(self):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 3, 4, 4))
+        x = rng.normal(size=(2, 4, 4, 3))
         x[np.abs(x) < 1e-3] = 0.5  # keep away from the relu kink
         err = fd_for(lambda p: ad.sum_all(ad.global_avg_pool(ad.relu(p["x"]))), {"x": x})
         assert err < 1e-6

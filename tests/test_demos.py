@@ -16,7 +16,10 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_demo_runs(name, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["TMPDIR"] = str(tmp_path)  # demo 04 writes its corpus to a temp dir
+    temp_dir = tmp_path / "tmp"  # demo 04's corpus goes here and must be gone after
+    temp_dir.mkdir()
+    env["TMPDIR"] = str(temp_dir)
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert list(temp_dir.iterdir()) == []

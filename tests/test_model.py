@@ -93,6 +93,14 @@ class TestEncoder:
         with pytest.raises(ShapeError):
             md.encoder_forward(ad.Tensor(np.zeros((1, 50, 64))), params)
 
+    def test_one_taped_op_per_block(self):
+        params = md.init_params(TINY)
+        with ad.Tape() as tape:
+            md.encoder_forward(ad.Tensor(np.zeros((2, 98, 64))), params)
+        ops = [n.op for n in tape.nodes]
+        assert ops.count("conv2d") == len(TINY.channels)
+        assert "channel_bias_add" not in ops and "relu" not in ops
+
 
 class TestHeads:
     def test_classifier_shape_and_zero_input(self):
