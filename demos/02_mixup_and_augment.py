@@ -12,7 +12,7 @@ from cosmix.dataset import synth_waveform
 
 rng = np.random.default_rng(7)
 
-params = BetaParams(alpha=10.0, mix_ratio=0.5)
+params = BetaParams(alpha=10.0)
 draws = np.array([sample_beta(params, rng) for _ in range(10_000)])
 print(f"Beta(10,10): mean {draws.mean():.3f}, var {draws.var():.5f} "
       f"(theory 0.5 and {1/84:.5f})")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SAMPLE_RATE
+from .features import FRAME_COUNT, N_MELS
 
 MASK_VALUE = 0.0
 
@@ -36,6 +37,12 @@ class AugmentConfig:
             raise ValueError("stretch range invalid")
         if self.time_mask_max < 0 or self.freq_mask_max < 0:
             raise ValueError("mask sizes must be >= 0")
+        if self.time_mask_max > FRAME_COUNT:
+            raise ValueError(f"time_mask_max {self.time_mask_max} exceeds the "
+                             f"{FRAME_COUNT} feature frames")
+        if self.freq_mask_max > N_MELS:
+            raise ValueError(f"freq_mask_max {self.freq_mask_max} exceeds the "
+                             f"{N_MELS} mel bins")
         if self.n_time_masks < 0 or self.n_freq_masks < 0:
             raise ValueError("mask counts must be >= 0")
 
@@ -45,13 +52,10 @@ class BetaParams:
     """Symmetric Beta(alpha, alpha) for the mixing coefficient."""
 
     alpha: float = 10.0
-    mix_ratio: float = 0.5
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0 <= self.mix_ratio <= 1:
-            raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
 
 
 def _gamma_variate(alpha, rng):
@@ -119,10 +123,13 @@ def mix_labels(y_i, y_j, lam):
 
 
 def shift_samples(wave, s):
-    """Shift content by s samples (positive = right); zero-fill vacated ends."""
+    """Shift content by s samples (positive = right); zero-fill vacated ends.
+    A shift of the whole length or more leaves only zeros."""
     wave = np.asarray(wave, dtype=np.float64)
     out = np.zeros_like(wave)
     n = wave.size
+    if abs(s) >= n:
+        return out
     if s >= 0:
         out[s:] = wave[:n - s] if s else wave
     else:

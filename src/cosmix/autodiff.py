@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import threading
-import warnings
 import weakref
 
 import numpy as np
@@ -49,11 +48,14 @@ class Tensor:
                  "op", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, values, requires_grad=False, dtype=None):
-        arr = np.asarray(values, dtype=dtype)
+        self._setup(np.asarray(values, dtype=dtype), requires_grad)
+        if not np.all(np.isfinite(self.values)):
+            raise NumericError("non-finite values in tensor literal")
+
+    def _setup(self, arr, requires_grad=False):
+        """Fill the slots; non-float arrays become float64."""
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("non-finite values in tensor literal")
         self.values = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -75,9 +77,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.values.dtype
-
-    def item(self):
-        return float(self.values)
 
     def __repr__(self):
         return f"Tensor(op={self.op}, shape={self.values.shape}, grad={self.grad is not None})"
@@ -155,7 +154,8 @@ def _record(op, values, parents, vjp):
 
 def _node(op, values, parents, vjp):
     """Wrap an op's output, already checked finite, and tape it if needed."""
-    out = Tensor(values)
+    out = Tensor.__new__(Tensor)
+    out._setup(np.asarray(values))
     out.op = op
     tape = Tape.current()
     if tape is None:
@@ -433,14 +433,12 @@ def global_avg_pool(x):
 NORM_EPS = 1e-12
 
 
-def l2_normalize(x, eps=NORM_EPS, debug=False):
+def l2_normalize(x, eps=NORM_EPS):
     """Divide each row of [B, D] by its Euclidean norm (eps-floored)."""
     x = as_tensor(x)
     _want_rank(x, 2, "l2_normalize", "x")
     norms = np.linalg.norm(x.values, axis=1)
     floored = norms < eps
-    if debug and floored.any():
-        warnings.warn(f"l2_normalize: {int(floored.sum())} degenerate rows eps-floored")
     n = np.maximum(norms, eps)
     y = x.values / n[:, None]
 
@@ -565,9 +563,6 @@ class ParameterSet:
     def __contains__(self, name):
         return name in self._params
 
-    def __len__(self):
-        return len(self._params)
-
     def names(self):
         return list(self._params)
 
@@ -581,19 +576,12 @@ class ParameterSet:
         for t in self._params.values():
             t.grad = None
 
-    def n_values(self):
-        return sum(t.values.size for t in self._params.values())
-
-    def astype(self, dtype):
-        out = ParameterSet()
-        for name, t in self._params.items():
-            out.add(name, t.values.astype(dtype))
-        return out
-
     def copy_values(self):
         return {name: t.values.copy() for name, t in self._params.items()}
 
     def load_values(self, values):
+        """Copy in each parameter's array from ``values``; other keys
+        (a checkpoint's optimizer state) are ignored."""
         for name, t in self._params.items():
             v = np.asarray(values[name], dtype=t.values.dtype)
             if v.shape != t.values.shape:

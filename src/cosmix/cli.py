@@ -117,13 +117,17 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_eval(args):
-    manifest = _read_manifest(args)
+def _best_params(args):
+    """Model parameters from the run directory's best checkpoint."""
     ckpt_path = Path(args.run_dir) / "best.ckpt"
     if not ckpt_path.exists():
         raise CheckpointError(f"{ckpt_path} not found; train first")
-    ckpt = md.load_checkpoint(ckpt_path)
-    params = tr.params_from_checkpoint(ckpt)
+    return tr.params_from_checkpoint(md.load_checkpoint(ckpt_path))
+
+
+def cmd_eval(args):
+    manifest = _read_manifest(args)
+    params = _best_params(args)
     store = tr.ClipStore(manifest)
     accuracy, confusion = tr.evaluate(store, args.split, params)
     print(f"accuracy {accuracy:.4f}")
@@ -135,10 +139,7 @@ def cmd_eval(args):
 
 def cmd_export_embeddings(args):
     manifest = _read_manifest(args)
-    ckpt_path = Path(args.run_dir) / "best.ckpt"
-    if not ckpt_path.exists():
-        raise CheckpointError(f"{ckpt_path} not found; train first")
-    params = tr.params_from_checkpoint(md.load_checkpoint(ckpt_path))
+    params = _best_params(args)
     store = tr.ClipStore(manifest)
     out = Path(args.run_dir) / f"embeddings_{args.split}.csv"
     tmp = out.with_name(out.name + ".tmp")

@@ -35,12 +35,6 @@ class KeywordLabel:
         if not 0 <= self.index < len(KEYWORDS):
             raise ValueError(f"keyword index {self.index} outside 0..{len(KEYWORDS) - 1}")
 
-    @classmethod
-    def from_name(cls, name):
-        if name not in _KEYWORD_INDEX:
-            raise ValueError(f"unknown keyword {name!r}")
-        return cls(_KEYWORD_INDEX[name])
-
     @property
     def name(self):
         return KEYWORDS[self.index]
@@ -85,8 +79,6 @@ class DatasetManifest:
 
     entries: tuple
     root: str
-    trim_fraction: float = 1.0
-    seed: int = 0
     skipped_dirs: tuple = ()
 
     def split_entries(self, split):
@@ -260,11 +252,8 @@ def trim_by_speaker(manifest, fraction, seed):
             keep.add((label, s))
             admitted += per_speaker[s]
 
-    entries = tuple(e for e in manifest.entries
-                    if e.split != "train" or (e.label, e.speaker_id) in keep)
-    return DatasetManifest(entries=entries, root=manifest.root,
-                           trim_fraction=float(fraction), seed=int(seed),
-                           skipped_dirs=manifest.skipped_dirs)
+    return replace(manifest, entries=tuple(
+        e for e in manifest.entries if e.split != "train" or (e.label, e.speaker_id) in keep))
 
 
 # ---------------------------------------------------------------------------
@@ -354,4 +343,4 @@ def synth_dataset(root, n_per_class=20, noise_level=0.05, seed=0):
             write_wav(root / rel, wave)
             entries.append(ManifestEntry(rel, label, speaker, tags[spk_idx]))
     entries.sort(key=lambda e: e.path)
-    return DatasetManifest(entries=tuple(entries), root=str(root), seed=int(seed))
+    return DatasetManifest(entries=tuple(entries), root=str(root))

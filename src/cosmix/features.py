@@ -7,13 +7,11 @@ mel filters between 20 Hz and 8 kHz, natural-log compression with a
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import SAMPLE_RATE
-from .errors import FormatError
 
 # clips are one second long, so a clip is SAMPLE_RATE samples
 WIN_LENGTH = 400
@@ -110,31 +108,3 @@ def log_fbank_batch(waves, dtype=np.float64):
 def log_fbank(wave):
     """Log-mel features of a one-second waveform -> FeatureMatrix (98 x 64)."""
     return FeatureMatrix(values=log_fbank_batch(np.asarray(wave)[None])[0])
-
-
-# ---------------------------------------------------------------------------
-# binary dump: magic "FBNK", u32 rows, u32 cols, u32 reserved, f32 row-major
-
-FBANK_MAGIC = b"FBNK"
-
-
-def write_fbank(path, feat):
-    values = feat.values if isinstance(feat, FeatureMatrix) else np.asarray(feat)
-    rows, cols = values.shape
-    with open(path, "wb") as fh:
-        fh.write(FBANK_MAGIC)
-        fh.write(struct.pack("<III", rows, cols, 0))
-        fh.write(values.astype("<f4").tobytes(order="C"))
-
-
-def read_fbank(path):
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != FBANK_MAGIC:
-            raise FormatError(f"{path}: not a feature dump")
-        rows, cols, _ = struct.unpack("<III", header[4:])
-        data = fh.read()
-    expected = rows * cols * 4
-    if len(data) != expected:
-        raise FormatError(f"{path}: payload {len(data)} bytes, expected {expected}")
-    return np.frombuffer(data, dtype="<f4").reshape(rows, cols).astype(np.float64)

@@ -55,11 +55,13 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.cls_loss not in ("softmax_ce", "sigmoid_bce"):
             raise ValueError(f"unknown cls_loss {self.cls_loss!r}")
-        BetaParams(self.alpha, self.mix_ratio)
+        if not 0 <= self.mix_ratio <= 1:
+            raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
+        BetaParams(self.alpha)
 
     @property
     def beta_params(self):
-        return BetaParams(self.alpha, self.mix_ratio)
+        return BetaParams(self.alpha)
 
 
 @dataclass
@@ -68,7 +70,7 @@ class MixedBatch:
 
     For non-mixed rows source j == source i, lambda is recorded as 1,
     and the two pre-mix views are independent augmentations of the same
-    clip. ``feats_i``/``feats_j`` are None when the caller skips them.
+    clip. ``feats_i``/``feats_j`` are None when no contrastive term needs them.
     """
 
     feats_mix: np.ndarray
@@ -147,21 +149,22 @@ def _augment_wave(wave, rng, aug_cfg):
     return time_stretch(time_shift(wave, rng, aug_cfg), rng, aug_cfg)
 
 
-def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), epoch=1, batch_idx=0,
-                  with_views=True):
+def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), epoch=1, batch_idx=0):
     """Build one MixedBatch; deterministic given (seed, epoch, batch index).
 
     ``indices`` selects the i-side clips from the train split; partners
     are drawn uniformly from the whole train split excluding i. Each of
-    the (up to) three views per row owns its own generator, consumed by
-    shift, stretch, then masking; featurization draws nothing, so all
-    views can share one batched filterbank pass.
+    the views per row owns its own generator, consumed by shift,
+    stretch, then masking; featurization draws nothing, so all views
+    can share one batched filterbank pass. The two pre-mix views are
+    built only when ``cfg.beta_penalty`` asks for the contrastive term.
     """
     entries = store.manifest.split_entries("train")
     n = len(entries)
     if n < 2:
         raise DatasetError(f"need >= 2 train entries, found {n}")
     b = len(indices)
+    with_views = cfg.beta_penalty != 0.0
     n_views = 3 if with_views else 1
     waves = np.empty((n_views, b, len(store.wave(entries[0]))))
     rngs = [[None] * b for _ in range(n_views)]
@@ -403,15 +406,13 @@ def train(cfg, manifest, mode="cosmix", aug_cfg=AugmentConfig(),
     n_train = len(manifest.split_entries("train"))
     if n_train < 2:
         raise DatasetError(f"need >= 2 train entries, found {n_train}")
-    with_views = eff.beta_penalty != 0.0
 
     params = init_params(model_cfg, dtype=np.float32)
     adam = AdamState.for_params(params)
     start_epoch = 1
     if resume_from is not None:
         ckpt = resume_from
-        model_values = {k: v for k, v in ckpt.parameters.items() if not k.startswith("opt.")}
-        params.load_values(model_values)
+        params.load_values(ckpt.parameters)
         for name in adam.m:
             adam.m[name] = ckpt.parameters[f"opt.m.{name}"].astype(np.float32).copy()
             adam.v[name] = ckpt.parameters[f"opt.v.{name}"].astype(np.float32).copy()
@@ -439,7 +440,7 @@ def train(cfg, manifest, mode="cosmix", aug_cfg=AugmentConfig(),
             for batch_idx in range(0, (n_train + eff.batch_size - 1) // eff.batch_size):
                 indices = order[batch_idx * eff.batch_size:(batch_idx + 1) * eff.batch_size]
                 batch = compose_batch(store, indices, eff, aug_cfg, epoch=epoch,
-                                      batch_idx=batch_idx, with_views=with_views)
+                                      batch_idx=batch_idx)
                 params.zero_grad()
                 try:
                     with ad.Tape():
@@ -508,14 +509,12 @@ def _save_train_checkpoint(directory, name, model_cfg, params, adam, seed, epoch
 
 def params_from_checkpoint(ckpt):
     """Rebuild a float32 ParameterSet holding the checkpoint's model weights."""
-    params = init_params(ckpt.config, dtype=np.float32)
-    params.load_values({k: v for k, v in ckpt.parameters.items()
-                        if not k.startswith("opt.")})
-    return params
+    return params_from_values(ckpt.config, ckpt.parameters)
 
 
 def params_from_values(model_cfg, values):
-    """ParameterSet from a plain name -> array mapping (e.g. best_values)."""
+    """ParameterSet from a name -> array mapping (best_values, or a
+    checkpoint's parameters, whose optimizer state is ignored)."""
     params = init_params(model_cfg, dtype=np.float32)
     params.load_values(values)
     return params

@@ -144,6 +144,11 @@ class TestTimeShift:
         np.testing.assert_array_equal(out[:14400], wave[1600:])
         assert np.all(out[14400:] == 0)
 
+    @pytest.mark.parametrize("s", [16000, 20000, -16000, -20000])
+    def test_shift_past_the_clip_gives_zeros(self, s):
+        out = ag.shift_samples(np.ones(16000), s)
+        np.testing.assert_array_equal(out, np.zeros(16000))
+
     def test_random_shift_bounds_and_length(self):
         rng = np.random.default_rng(14)
         wave = np.ones(16000)

@@ -159,10 +159,6 @@ class TestNormalize:
         out = ad.l2_normalize(ad.Tensor(np.zeros((1, 3))))
         assert np.all(np.isfinite(out.values))
 
-    def test_zero_row_warns_in_debug(self):
-        with pytest.warns(UserWarning, match="degenerate"):
-            ad.l2_normalize(ad.Tensor(np.zeros((1, 3))), debug=True)
-
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         err = fd_for(lambda p: ad.sum_all(ad.mul(ad.l2_normalize(p["x"]), p["c"])),
@@ -328,6 +324,11 @@ class TestBackward:
         with ad.Tape():
             ad.backward(ad.sum_all(ad.mul(x, c)))
         assert c.grad is None and c.tape_id is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_literal_raises_numeric_error(self, bad):
+        with pytest.raises(NumericError, match="literal"):
+            ad.Tensor(np.array([[1.0, bad]]))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nan_forward_raises_numeric_error(self):

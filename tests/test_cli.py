@@ -113,6 +113,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             rc.parse_config("mix_ratio = 1.5\n")
 
+    @pytest.mark.parametrize("key,value", [("time_mask_max", 99), ("freq_mask_max", 65)])
+    def test_mask_larger_than_features_rejected(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            rc.parse_config(f"{key} = {value}\n", source="run.cfg")
+        assert "run.cfg" in str(err.value) and key in str(err.value)
+
+    def test_mask_as_large_as_features_accepted(self):
+        settings = rc.parse_config("time_mask_max = 98\nfreq_mask_max = 64\n")
+        assert (settings.augment.time_mask_max, settings.augment.freq_mask_max) == (98, 64)
+
     def test_old_resolved_config_parses(self, tmp_path):
         path = tmp_path / "config.resolved"
         path.write_text(OLD_RESOLVED)
@@ -213,6 +223,18 @@ class TestTrainEval:
                      "--data-root", str(corpus), "--run-dir", str(tmp_path / "r")])
         assert code == 2
         assert "nonsense_knob" in capsys.readouterr().err
+
+    def test_bad_augment_config_exit_2_before_run_dir(self, corpus, manifest_file,
+                                                      tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(FAST_CONFIG + "time_mask_max = 200\n")
+        run_dir = tmp_path / "r"
+        code = main(["train", "--config", str(bad), "--manifest", str(manifest_file),
+                     "--data-root", str(corpus), "--run-dir", str(run_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "time_mask_max" in err
+        assert not run_dir.exists()
 
     def test_replay_from_resolved_config(self, corpus, manifest_file, config_file,
                                          tmp_path):

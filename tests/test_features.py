@@ -146,34 +146,3 @@ class TestLogFbank:
     def test_batch_variant_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             ft.log_fbank_batch(np.zeros(16000))
-
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        feat = ft.log_fbank(rng.normal(size=16000))
-        path = tmp_path / "clip.fbank"
-        ft.write_fbank(path, feat)
-        back = ft.read_fbank(path)
-        assert back.shape == (98, 64)
-        np.testing.assert_allclose(back, feat.values, atol=1e-6)  # f32 storage
-
-    def test_header_is_16_bytes(self, tmp_path):
-        path = tmp_path / "clip.fbank"
-        ft.write_fbank(path, ft.log_fbank(np.zeros(16000)))
-        raw = path.read_bytes()
-        assert raw[:4] == b"FBNK"
-        assert len(raw) == 16 + 98 * 64 * 4
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.fbank"
-        path.write_bytes(b"JUNKxxxxxxxxxxxx")
-        with pytest.raises(Exception, match="feature dump"):
-            ft.read_fbank(path)
-
-    def test_rejects_truncated_payload(self, tmp_path):
-        path = tmp_path / "clip.fbank"
-        ft.write_fbank(path, ft.log_fbank(np.zeros(16000)))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(Exception, match="payload"):
-            ft.read_fbank(path)

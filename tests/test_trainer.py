@@ -183,7 +183,8 @@ class TestLambdaWeight:
 class TestTotalLoss:
     def test_beta_zero_equals_loss_mix(self, store):
         cfg = tr.TrainConfig(batch_size=4, beta_penalty=0.0, seed=1)
-        batch = tr.compose_batch(store, [0, 1, 2, 3], cfg, with_views=False)
+        batch = tr.compose_batch(store, [0, 1, 2, 3], cfg)
+        assert batch.feats_i is None and batch.feats_j is None
         params = md.init_params(TINY_MODEL, dtype=np.float64)
         total, logits, parts = tr.total_loss(batch, params, cfg)
         assert parts["loss_total"] == parts["loss_mix"]
@@ -261,11 +262,12 @@ class TestComposeBatch:
         monkeypatch.setattr(tr, "time_stretch", lambda wave, rng, aug: wave)
         monkeypatch.setattr(tr, "log_fbank_batch", lambda waves, dtype:
                             np.zeros((len(waves), 98, 64), dtype=dtype))
-        cfg = tr.TrainConfig(batch_size=128, mix_ratio=0.5, seed=10)
+        # beta_penalty 0 builds the mixed view only
+        cfg = tr.TrainConfig(batch_size=128, mix_ratio=0.5, beta_penalty=0.0, seed=10)
         mixed = 0
         for b in range(100):
             batch = tr.compose_batch(store, np.arange(128) % 100, cfg,
-                                     epoch=1, batch_idx=b, with_views=False)
+                                     epoch=1, batch_idx=b)
             mixed += int(batch.is_mixed.sum())
         assert 0.45 <= mixed / 12800 <= 0.55
 
