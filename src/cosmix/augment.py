@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SAMPLE_RATE
+from .dataset import CLIP_SAMPLES, SAMPLE_RATE
 from .features import FRAME_COUNT, N_MELS
 
 MASK_VALUE = 0.0
+CLIP_MS = 1000.0 * CLIP_SAMPLES / SAMPLE_RATE
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,10 @@ class AugmentConfig:
     def __post_init__(self):
         if self.shift_ms_low > self.shift_ms_high:
             raise ValueError("shift range inverted")
+        for key in ("shift_ms_low", "shift_ms_high"):
+            if abs(getattr(self, key)) > CLIP_MS:
+                raise ValueError(f"{key} {getattr(self, key)} exceeds the "
+                                 f"{CLIP_MS:g} ms clip")
         if not 0 < self.stretch_low <= self.stretch_high:
             raise ValueError("stretch range invalid")
         if self.time_mask_max < 0 or self.freq_mask_max < 0:
@@ -91,14 +96,10 @@ def sample_beta(params, rng):
     return min(max(lam, 1e-12), 1.0 - 1e-12)
 
 
-def _wave_of(x):
-    return x.samples if hasattr(x, "samples") else x
-
-
 def mixup_waveforms(x_i, x_j, lam):
     """Convex combination lam * x_i + (1 - lam) * x_j, elementwise."""
-    x_i = np.asarray(_wave_of(x_i), dtype=np.float64)
-    x_j = np.asarray(_wave_of(x_j), dtype=np.float64)
+    x_i = np.asarray(x_i, dtype=np.float64)
+    x_j = np.asarray(x_j, dtype=np.float64)
     if x_i.shape != x_j.shape:
         raise ValueError(f"length mismatch: {x_i.shape} vs {x_j.shape}")
     if not 0 <= lam <= 1:

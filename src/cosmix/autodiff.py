@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import threading
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -47,8 +48,8 @@ class Tensor:
     __slots__ = ("values", "requires_grad", "grad", "_tape", "tape_id",
                  "op", "_parents", "_vjp", "__weakref__")
 
-    def __init__(self, values, requires_grad=False, dtype=None):
-        self._setup(np.asarray(values, dtype=dtype), requires_grad)
+    def __init__(self, values, requires_grad=False):
+        self._setup(np.asarray(values), requires_grad)
         if not np.all(np.isfinite(self.values)):
             raise NumericError("non-finite values in tensor literal")
 
@@ -82,28 +83,33 @@ class Tensor:
         return f"Tensor(op={self.op}, shape={self.values.shape}, grad={self.grad is not None})"
 
 
+class _Recording(threading.local):
+    """Per-thread stack of active tapes; None marks a paused region."""
+
+    def __init__(self):
+        self.stack = []
+
+
+_recording = _Recording()
+
+
 class Tape:
     """Append-only op recording; node inputs always precede the node."""
-
-    _local = threading.local()
 
     def __init__(self):
         self.nodes = []
 
     def __enter__(self):
-        stack = getattr(Tape._local, "stack", None)
-        if stack is None:
-            stack = Tape._local.stack = []
-        stack.append(self)
+        _recording.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        Tape._local.stack.pop()
+        _recording.stack.pop()
         return False
 
     @staticmethod
     def current():
-        stack = getattr(Tape._local, "stack", None)
+        stack = _recording.stack
         return stack[-1] if stack else None
 
     def _append(self, t):
@@ -120,22 +126,14 @@ class Tape:
         return "\n".join(lines)
 
 
-class _PauseRecording:
-    def __enter__(self):
-        stack = getattr(Tape._local, "stack", None)
-        if stack is None:
-            stack = Tape._local.stack = []
-        stack.append(None)
-        return self
-
-    def __exit__(self, *exc):
-        Tape._local.stack.pop()
-        return False
-
-
+@contextmanager
 def pause_recording():
     """Context manager: ops inside run as plain forwards, nothing is taped."""
-    return _PauseRecording()
+    _recording.stack.append(None)
+    try:
+        yield
+    finally:
+        _recording.stack.pop()
 
 
 def _tracked_on(t, tape):
@@ -184,8 +182,8 @@ def _accum(t, g):
         t.grad += g
 
 
-def as_tensor(x, dtype=None):
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _want(t, shape, op, role):
@@ -433,20 +431,20 @@ def global_avg_pool(x):
 NORM_EPS = 1e-12
 
 
-def l2_normalize(x, eps=NORM_EPS):
-    """Divide each row of [B, D] by its Euclidean norm (eps-floored)."""
+def l2_normalize(x):
+    """Divide each row of [B, D] by its Euclidean norm (floored at NORM_EPS)."""
     x = as_tensor(x)
     _want_rank(x, 2, "l2_normalize", "x")
     norms = np.linalg.norm(x.values, axis=1)
-    floored = norms < eps
-    n = np.maximum(norms, eps)
+    floored = norms < NORM_EPS
+    n = np.maximum(norms, NORM_EPS)
     y = x.values / n[:, None]
 
     def vjp(g):
-        # rows at the eps floor behave as plain division by eps
+        # rows at the floor behave as plain division by NORM_EPS
         dx = (g - y * (g * y).sum(axis=1, keepdims=True)) / n[:, None]
         if floored.any():
-            dx[floored] = g[floored] / eps
+            dx[floored] = g[floored] / NORM_EPS
         _accum(x, dx)
     return _record("l2_normalize", y, (x,), vjp)
 
@@ -592,12 +590,15 @@ class ParameterSet:
 # ---------------------------------------------------------------------------
 # finite-difference harness
 
-def finite_difference_check(f, params, h=1e-5, max_coords=200, seed=0):
+FD_MAX_COORDS = 200
+
+
+def finite_difference_check(f, params, h=1e-5):
     """Max relative error between backward() grads and central differences.
 
     ``f`` rebuilds the scalar loss from the current parameter values on
-    every call; all coordinates are probed unless the model is large, in
-    which case a seeded random subset of ``max_coords`` (>= 200) is used.
+    every call; when there are more than ``FD_MAX_COORDS`` coordinates, a
+    fixed random subset of that many is probed instead of all of them.
     """
     v1 = float(f().values)
     v2 = float(f().values)
@@ -613,9 +614,8 @@ def finite_difference_check(f, params, h=1e-5, max_coords=200, seed=0):
         analytic[name] = np.zeros_like(t.values) if t.grad is None else t.grad.copy()
 
     coords = [(name, i) for name, t in params.items() for i in range(t.values.size)]
-    if len(coords) > max_coords:
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(coords), size=max(200, max_coords), replace=False)
+    if len(coords) > FD_MAX_COORDS:
+        picks = np.random.default_rng(0).choice(len(coords), FD_MAX_COORDS, replace=False)
         coords = [coords[i] for i in picks]
 
     max_rel = 0.0

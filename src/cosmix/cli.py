@@ -2,8 +2,9 @@
 ablate, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 runtime numeric error. Output files are written to a temp name and
-renamed, so failures never leave partial artifacts.
+3 runtime numeric error. Every artifact but the per-epoch metrics.jsonl
+stream is written through ``dataset.atomic_write``, so a failed write
+leaves neither a partial file nor a temp file.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from . import model as md
 from . import runconfig as rc
 from . import trainer as tr
 from .errors import CheckpointError, ConfigError, ContractError, DatasetError, \
-    FormatError, ManifestError, NumericError, ShapeError, UnsupportedFormatError
+    ManifestError, NumericError
 from .verify import run_all
 
 EXIT_OK = 0
@@ -28,17 +29,9 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-USAGE_ERRORS = (ConfigError, ManifestError, DatasetError, CheckpointError,
-                FormatError, UnsupportedFormatError, ShapeError, ContractError,
-                ValueError, FileNotFoundError, NotADirectoryError)
-
-
-def _atomic_write_text(path, text):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    tmp.replace(path)
+# every config, manifest, format and shape error is a ValueError
+USAGE_ERRORS = (ValueError, DatasetError, CheckpointError, ContractError,
+                FileNotFoundError, NotADirectoryError)
 
 
 def _clip_seconds(path):
@@ -69,9 +62,7 @@ def cmd_prepare(args):
         print(lines[-1])
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    ds.write_manifest(tmp, manifest)
-    tmp.replace(out)
+    ds.write_manifest(out, manifest)
     print(f"wrote {len(manifest.entries)} entries to {args.output}")
     return EXIT_OK
 
@@ -103,7 +94,7 @@ def cmd_train(args):
     settings = _load_settings(args)
     manifest = _read_manifest(args)
     run_dir = _prepare_run_dir(args.run_dir, args.force)
-    _atomic_write_text(run_dir / "config.resolved", rc.format_config(settings))
+    ds.atomic_write(run_dir / "config.resolved", rc.format_config(settings).encode("utf-8"))
     metrics_path = run_dir / "metrics.jsonl"
     if metrics_path.exists():
         metrics_path.unlink()
@@ -132,8 +123,8 @@ def cmd_eval(args):
     accuracy, confusion = tr.evaluate(store, args.split, params)
     print(f"accuracy {accuracy:.4f}")
     rows = [",".join(str(int(x)) for x in row) for row in confusion]
-    _atomic_write_text(Path(args.run_dir) / f"confusion_{args.split}.csv",
-                       "\n".join(rows) + "\n")
+    ds.atomic_write(Path(args.run_dir) / f"confusion_{args.split}.csv",
+                    ("\n".join(rows) + "\n").encode("utf-8"))
     return EXIT_OK
 
 
@@ -142,9 +133,7 @@ def cmd_export_embeddings(args):
     params = _best_params(args)
     store = tr.ClipStore(manifest)
     out = Path(args.run_dir) / f"embeddings_{args.split}.csv"
-    tmp = out.with_name(out.name + ".tmp")
-    n = tr.export_embeddings(store, args.split, params, tmp)
-    tmp.replace(out)
+    n = tr.export_embeddings(store, args.split, params, out)
     print(f"wrote {n} embeddings to {out}")
     return EXIT_OK
 
@@ -191,7 +180,7 @@ def cmd_ablate(args):
                     row.append("ERROR")
         table.append(",".join(row))
     text = "\n".join(table) + "\n"
-    _atomic_write_text(run_dir / "ablation.csv", text)
+    ds.atomic_write(run_dir / "ablation.csv", text.encode("utf-8"))
     print(text, end="")
     return EXIT_OK
 

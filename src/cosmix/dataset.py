@@ -151,17 +151,17 @@ def write_wav(path, samples, sample_rate=SAMPLE_RATE):
         fh.writeframes(ints.tobytes())
 
 
-def pad_or_trim(clip, target=CLIP_SAMPLES):
-    """Zero-pad on the right or drop tail samples to hit exactly ``target``."""
+def pad_or_trim(clip):
+    """Zero-pad on the right or drop tail samples to hit exactly ``CLIP_SAMPLES``."""
     n = clip.samples.size
     if n == 0:
         raise ValueError(f"{clip.source_path}: empty clip")
-    if n == target:
+    if n == CLIP_SAMPLES:
         return clip
-    if n > target:
-        samples = clip.samples[:target].copy()
+    if n > CLIP_SAMPLES:
+        samples = clip.samples[:CLIP_SAMPLES].copy()
     else:
-        samples = np.zeros(target, dtype=clip.samples.dtype)
+        samples = np.zeros(CLIP_SAMPLES, dtype=clip.samples.dtype)
         samples[:n] = clip.samples
     return replace(clip, samples=samples)
 
@@ -256,12 +256,25 @@ def trim_by_speaker(manifest, fraction, seed):
         e for e in manifest.entries if e.split != "train" or (e.label, e.speaker_id) in keep))
 
 
+def atomic_write(path, data):
+    """Replace ``path`` with the bytes ``data`` via ``<name>.tmp`` in the
+    same directory and one rename: readers see the old file or the new one,
+    and a failed write leaves ``path`` as it was and no temp file behind."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 # ---------------------------------------------------------------------------
 # manifest serialization: path<TAB>label<TAB>speaker<TAB>split, LF endings
 
 def write_manifest(path, manifest):
     lines = [f"{e.path}\t{e.label}\t{e.speaker_id}\t{e.split}" for e in manifest.entries]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_manifest(path, root):

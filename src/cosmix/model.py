@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .dataset import atomic_write
 from .errors import CheckpointError, ConfigError, ShapeError
 from .features import FRAME_COUNT, N_MELS
 
@@ -77,9 +78,8 @@ def init_params(config, dtype=np.float32):
     return params
 
 
-def count_params(params, prefix=None):
-    return sum(t.values.size for name, t in params.items()
-               if prefix is None or name.startswith(prefix))
+def count_params(params, prefix):
+    return sum(t.values.size for name, t in params.items() if name.startswith(prefix))
 
 
 def inference_param_count(params):
@@ -176,8 +176,7 @@ def save_checkpoint(path, ckpt):
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes(order="C"))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    atomic_write(path, b"".join(chunks))
 
 
 def load_checkpoint(path):

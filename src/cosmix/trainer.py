@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .augment import AugmentConfig, BetaParams, mixup_waveforms, sample_beta, \
     spec_augment, time_shift, time_stretch
-from .dataset import KEYWORDS, KeywordLabel, load_wav, pad_or_trim
+from .dataset import KEYWORDS, KeywordLabel, atomic_write, load_wav, pad_or_trim
 from .errors import ContractError, DatasetError, NumericError
 from .features import log_fbank_batch
 # bench/tracing.py patches the per-clip featurizer by this older name; the
@@ -31,6 +32,8 @@ MODES = ("baseline", "mixup", "cosmix")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+EVAL_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,7 @@ class EpochMetrics:
     seconds: float
 
     def to_json_line(self):
-        return json.dumps({"epoch": self.epoch, "loss_mix": self.loss_mix,
-                           "loss_cos": self.loss_cos, "loss_total": self.loss_total,
-                           "train_acc": self.train_acc, "val_acc": self.val_acc,
-                           "lr": self.lr, "seconds": self.seconds})
+        return json.dumps(asdict(self))
 
 
 @dataclass
@@ -249,8 +249,7 @@ def target_projections(batch, params):
     """Plain-forward projections of the two pre-mix views (no recording)."""
     dtype = next(iter(params.tensors())).values.dtype
     both = np.concatenate([batch.feats_i, batch.feats_j]).astype(dtype, copy=False)
-    with ad.pause_recording():
-        vals = projector_forward(encoder_forward(ad.Tensor(both), params), params).values
+    vals = _paused_forward(both, params, projector_forward)
     b = batch.feats_i.shape[0]
     return vals[:b], vals[b:]
 
@@ -327,31 +326,29 @@ def adam_step(params, state, lr):
 # ---------------------------------------------------------------------------
 # evaluation and export
 
-def _forward_logits(feats, params):
+def _paused_forward(feats, params, head=None):
+    """Encoder outputs of ``feats``, through ``head`` if given; nothing is taped."""
     with ad.pause_recording():
-        return classifier_forward(encoder_forward(ad.Tensor(feats), params), params).values
+        out = encoder_forward(ad.Tensor(feats), params)
+        return (out if head is None else head(out, params)).values
 
 
-def _forward_embeddings(feats, params):
-    with ad.pause_recording():
-        return encoder_forward(ad.Tensor(feats), params).values
-
-
-def _forward_split(store, split, params, forward, eval_batch):
-    """Run ``forward`` on a split's evaluation features, ``eval_batch``
+def _forward_split(store, split, params, head=None):
+    """``_paused_forward`` over a split's evaluation features, ``EVAL_BATCH``
     clips at a time; returns the entries and the stacked outputs."""
     entries = store.manifest.split_entries(split)
     if not entries:
         raise ValueError(f"split {split!r} is empty")
-    outputs = [forward(np.stack([store.eval_features(e)
-                                 for e in entries[start:start + eval_batch]]), params)
-               for start in range(0, len(entries), eval_batch)]
+    outputs = [_paused_forward(np.stack([store.eval_features(e)
+                                         for e in entries[start:start + EVAL_BATCH]]),
+                               params, head)
+               for start in range(0, len(entries), EVAL_BATCH)]
     return entries, np.concatenate(outputs)
 
 
-def evaluate(store, split, params, eval_batch=256):
+def evaluate(store, split, params):
     """Accuracy and confusion matrix on a split, no augmentation applied."""
-    entries, logits = _forward_split(store, split, params, _forward_logits, eval_batch)
+    entries, logits = _forward_split(store, split, params, classifier_forward)
     confusion = np.zeros((len(KEYWORDS), len(KEYWORDS)), dtype=np.int64)
     for e, p in zip(entries, logits.argmax(axis=1)):  # ties go to the lowest index
         confusion[e.label, int(p)] += 1
@@ -359,13 +356,12 @@ def evaluate(store, split, params, eval_batch=256):
     return accuracy, confusion
 
 
-def export_embeddings(store, split, params, path, eval_batch=256):
+def export_embeddings(store, split, params, path):
     """One CSV record per utterance: label index then the embedding values."""
-    entries, emb = _forward_split(store, split, params, _forward_embeddings, eval_batch)
+    entries, emb = _forward_split(store, split, params)
     lines = [",".join([str(e.label)] + [repr(float(x)) for x in row])
              for e, row in zip(entries, emb)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return len(entries)
 
 
@@ -492,19 +488,16 @@ def train(cfg, manifest, mode="cosmix", aug_cfg=AugmentConfig(),
 
 def _save_train_checkpoint(directory, name, model_cfg, params, adam, seed, epoch,
                            metrics):
-    from pathlib import Path
     parameters = params.copy_values()
     for pname in list(adam.m):
         parameters[f"opt.m.{pname}"] = adam.m[pname]
         parameters[f"opt.v.{pname}"] = adam.v[pname]
     rng_state = json.dumps({"seed": seed, "adam_t": adam.t}).encode("utf-8")
     ckpt = Checkpoint(config=model_cfg, parameters=parameters, epoch=epoch,
-                      rng_state=rng_state, metrics_tail=json.loads(metrics.to_json_line()))
+                      rng_state=rng_state, metrics_tail=asdict(metrics))
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    tmp = directory / (name + ".tmp")
-    save_checkpoint(tmp, ckpt)
-    tmp.replace(directory / name)
+    save_checkpoint(directory / name, ckpt)
 
 
 def params_from_checkpoint(ckpt):

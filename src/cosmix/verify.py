@@ -33,11 +33,11 @@ def _result(name, value, tolerance):
     return VerifyResult(name, float(value), tolerance, bool(value <= tolerance))
 
 
-def _fd(build, arrays, h=1e-5, seed=0):
+def _fd(build, arrays):
     params = ad.ParameterSet()
     for name, arr in arrays.items():
         params.add(name, arr)
-    return ad.finite_difference_check(lambda: build(params), params, h=h, seed=seed)
+    return ad.finite_difference_check(lambda: build(params), params)
 
 
 def suite_dense_grad():

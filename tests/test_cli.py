@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cosmix import cli
 from cosmix import dataset as ds
+from cosmix import errors
 from cosmix import runconfig as rc
 from cosmix import trainer as tr
 from cosmix.cli import main
@@ -123,6 +126,11 @@ class TestRunConfig:
         settings = rc.parse_config("time_mask_max = 98\nfreq_mask_max = 64\n")
         assert (settings.augment.time_mask_max, settings.augment.freq_mask_max) == (98, 64)
 
+    def test_shift_of_whole_clip_accepted(self):
+        settings = rc.parse_config("shift_ms_low = -1000\nshift_ms_high = 1000\n")
+        assert (settings.augment.shift_ms_low, settings.augment.shift_ms_high) == \
+            (-1000.0, 1000.0)
+
     def test_old_resolved_config_parses(self, tmp_path):
         path = tmp_path / "config.resolved"
         path.write_text(OLD_RESOLVED)
@@ -236,6 +244,37 @@ class TestTrainEval:
         assert str(bad) in err and "time_mask_max" in err
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("key,value", [("shift_ms_low", -1000.5),
+                                           ("shift_ms_high", 1500)])
+    def test_shift_beyond_clip_exit_2_before_run_dir(self, corpus, manifest_file,
+                                                     tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(FAST_CONFIG + f"{key} = {value}\n")
+        run_dir = tmp_path / "r"
+        code = main(["train", "--config", str(bad), "--manifest", str(manifest_file),
+                     "--data-root", str(corpus), "--run-dir", str(run_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and key in err
+        assert not run_dir.exists()
+
+    def test_failed_export_keeps_old_file_and_no_temp(self, corpus, manifest_file,
+                                                      config_file, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_file), "--manifest", str(manifest_file),
+                     "--data-root", str(corpus), "--run-dir", str(run_dir)]) == 0
+        out = run_dir / "embeddings_test.csv"
+        out.write_text("old\n")
+
+        def fail(self, target):
+            raise OSError("rename failed")
+        monkeypatch.setattr(Path, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            main(["export-embeddings", "--run-dir", str(run_dir),
+                  "--manifest", str(manifest_file), "--data-root", str(corpus)])
+        assert out.read_text() == "old\n"
+        assert not list(run_dir.glob("*.tmp"))
+
     def test_replay_from_resolved_config(self, corpus, manifest_file, config_file,
                                          tmp_path):
         run1 = tmp_path / "r1"
@@ -297,6 +336,22 @@ class TestAblate:
         assert code == 0
         entries = ds.read_manifest(manifest_file, corpus).entries
         assert sorted(loaded) == sorted(e.path for e in entries)
+
+
+ERROR_CLASSES = sorted((c for c in vars(errors).values()
+                        if isinstance(c, type) and issubclass(c, Exception)),
+                       key=lambda c: c.__name__)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_error_class_exit_code(self, error, monkeypatch, capsys):
+        def command(_args):
+            raise error("stubbed failure")
+        monkeypatch.setattr(cli, "cmd_verify", command)
+        code = main(["verify"])
+        assert code == (3 if error is errors.NumericError else 2)
+        assert "stubbed failure" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

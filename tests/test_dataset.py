@@ -1,5 +1,6 @@
 import math
 import wave as wave_mod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +244,27 @@ class TestTrimBySpeaker:
         manifest = ds.DatasetManifest(entries=entries, root="mem")
         with pytest.raises(DatasetError):
             ds.trim_by_speaker(manifest, 0.5, seed=0)
+
+
+class TestAtomicWrite:
+    def test_creates_then_replaces(self, tmp_path):
+        path = tmp_path / "out.bin"
+        ds.atomic_write(path, b"first")
+        ds.atomic_write(path, b"second")
+        assert path.read_bytes() == b"second"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_failed_rename_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def fail(self, target):
+            raise OSError("rename failed")
+        monkeypatch.setattr(Path, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            ds.atomic_write(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 class TestManifestSerialization:
