@@ -29,9 +29,9 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-# every config, manifest, format and shape error is a ValueError
-USAGE_ERRORS = (ValueError, DatasetError, CheckpointError, ContractError,
-                FileNotFoundError, NotADirectoryError)
+# every config, manifest, format and shape error is a ValueError; a path that
+# cannot be read or written (missing, a directory, no permission) is an OSError
+USAGE_ERRORS = (ValueError, DatasetError, CheckpointError, ContractError, OSError)
 
 
 def _clip_seconds(path):

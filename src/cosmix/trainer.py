@@ -71,9 +71,12 @@ class TrainConfig:
 class MixedBatch:
     """Features of the mixed view plus the two pre-mix views and labels.
 
-    For non-mixed rows source j == source i, lambda is recorded as 1,
-    and the two pre-mix views are independent augmentations of the same
-    clip. ``feats_i``/``feats_j`` are None when no contrastive term needs them.
+    ``feats_mix`` and ``feats_i`` hold one row per batch row. For
+    non-mixed rows source j == source i and lambda is recorded as 1; the
+    contrastive term gives view j weight 0 there, so no j-view is built
+    and ``feats_j`` holds one row per mixed row, in row order (empty when
+    no row was mixed). ``feats_i``/``feats_j`` are None when no
+    contrastive term needs them.
     """
 
     feats_mix: np.ndarray
@@ -153,11 +156,14 @@ def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), epoch=1, batch_i
     """Build one MixedBatch; deterministic given (seed, epoch, batch index).
 
     ``indices`` selects the i-side clips from the train split; partners
-    are drawn uniformly from the whole train split excluding i. Each of
-    the views per row owns its own generator, consumed by shift,
-    stretch, then masking; featurization draws nothing, so all views
-    can share one batched filterbank pass. The two pre-mix views are
-    built only when ``cfg.beta_penalty`` asks for the contrastive term.
+    are drawn uniformly from the whole train split excluding i. Each view
+    of a row owns its own generator, consumed by shift, stretch, then
+    masking; featurization draws nothing, so all views share one
+    ``log_fbank_batch`` call. The two pre-mix views are built only when
+    ``cfg.beta_penalty`` asks for the contrastive term, and the j-view
+    only for mixed rows: a B-row batch featurizes 2B + n_mixed views.
+    Skipping a view draws nothing from any other view's generator, so
+    every built view is the same as if all were built.
     """
     entries = store.manifest.split_entries("train")
     n = len(entries)
@@ -166,8 +172,7 @@ def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), epoch=1, batch_i
     b = len(indices)
     with_views = cfg.beta_penalty != 0.0
     n_views = 3 if with_views else 1
-    waves = np.empty((n_views, b, len(store.wave(entries[0]))))
-    rngs = [[None] * b for _ in range(n_views)]
+    views = [[] for _ in range(n_views)]  # (augmented wave, generator), row order
     y_i = np.empty((b, len(KEYWORDS)))
     y_j = np.empty((b, len(KEYWORDS)))
     lambdas = np.empty(b)
@@ -190,22 +195,22 @@ def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), epoch=1, batch_i
         wave_i = store.wave(entries[i_idx])
         wave_j = store.wave(entries[j_idx])
         view_waves = (mixup_waveforms(wave_i, wave_j, lam), wave_i, wave_j)
-        for v in range(n_views):
-            rngs[v][row] = np.random.default_rng(key + [v + 1])
-            waves[v, row] = _augment_wave(view_waves[v], rngs[v][row], aug_cfg)
+        # a non-mixed row's j-view would get weight 0, so it is not built
+        for v in range(n_views if mixed else min(n_views, 2)):
+            view_rng = np.random.default_rng(key + [v + 1])
+            views[v].append((_augment_wave(view_waves[v], view_rng, aug_cfg), view_rng))
         y_i[row] = KeywordLabel(entries[i_idx].label).one_hot
         y_j[row] = KeywordLabel(entries[j_idx].label).one_hot
         lambdas[row] = lam
         is_mixed[row] = mixed
 
-    feats = log_fbank_batch(waves.reshape(n_views * b, -1), dtype=np.float32)
-    feats = feats.reshape(n_views, b, *feats.shape[1:])
-    for v in range(n_views):
-        for row in range(b):
-            feats[v, row] = spec_augment(feats[v, row], rngs[v][row], aug_cfg)
-    return MixedBatch(feats[0],
-                      feats[1] if with_views else None,
-                      feats[2] if with_views else None,
+    built = [item for view in views for item in view]  # mixed, i, then j views
+    feats = log_fbank_batch(np.stack([wave for wave, _ in built]), dtype=np.float32)
+    for k, (_, view_rng) in enumerate(built):
+        feats[k] = spec_augment(feats[k], view_rng, aug_cfg)
+    if not with_views:
+        return MixedBatch(feats, None, None, y_i, y_j, lambdas, is_mixed)
+    return MixedBatch(feats[:b], feats[b:2 * b], feats[2 * b:],
                       y_i, y_j, lambdas, is_mixed)
 
 
@@ -246,12 +251,22 @@ def lambda_weight(lam, is_mixed):
 
 
 def target_projections(batch, params):
-    """Plain-forward projections of the two pre-mix views (no recording)."""
+    """Plain-forward projections of the two pre-mix views (no recording),
+    as two [B, P] arrays.
+
+    The encoder runs on ``feats_i`` and on the mixed rows' ``feats_j``
+    only. A non-mixed row has no j-view, so its j-target is its i-target:
+    a finite value that ``total_loss`` weights by 0, which leaves the loss
+    and every gradient unchanged.
+    """
     dtype = next(iter(params.tensors())).values.dtype
     both = np.concatenate([batch.feats_i, batch.feats_j]).astype(dtype, copy=False)
     vals = _paused_forward(both, params, projector_forward)
     b = batch.feats_i.shape[0]
-    return vals[:b], vals[b:]
+    vals_i = vals[:b]
+    vals_j = vals_i.copy()
+    vals_j[batch.is_mixed] = vals[b:]
+    return vals_i, vals_j
 
 
 def total_loss(batch, params, cfg, frozen_targets=None):
@@ -402,6 +417,9 @@ def train(cfg, manifest, mode="cosmix", aug_cfg=AugmentConfig(),
     n_train = len(manifest.split_entries("train"))
     if n_train < 2:
         raise DatasetError(f"need >= 2 train entries, found {n_train}")
+    if not manifest.split_entries("validation"):
+        raise DatasetError("split 'validation' is empty; every epoch ends with "
+                           "a validation evaluation")
 
     params = init_params(model_cfg, dtype=np.float32)
     adam = AdamState.for_params(params)

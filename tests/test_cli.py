@@ -259,7 +259,8 @@ class TestTrainEval:
         assert not run_dir.exists()
 
     def test_failed_export_keeps_old_file_and_no_temp(self, corpus, manifest_file,
-                                                      config_file, tmp_path, monkeypatch):
+                                                      config_file, tmp_path, monkeypatch,
+                                                      capsys):
         run_dir = tmp_path / "run"
         assert main(["train", "--config", str(config_file), "--manifest", str(manifest_file),
                      "--data-root", str(corpus), "--run-dir", str(run_dir)]) == 0
@@ -269,11 +270,44 @@ class TestTrainEval:
         def fail(self, target):
             raise OSError("rename failed")
         monkeypatch.setattr(Path, "replace", fail)
-        with pytest.raises(OSError, match="rename failed"):
-            main(["export-embeddings", "--run-dir", str(run_dir),
-                  "--manifest", str(manifest_file), "--data-root", str(corpus)])
+        capsys.readouterr()
+        assert main(["export-embeddings", "--run-dir", str(run_dir),
+                     "--manifest", str(manifest_file), "--data-root", str(corpus)]) == 2
+        assert "rename failed" in capsys.readouterr().err
         assert out.read_text() == "old\n"
         assert not list(run_dir.glob("*.tmp"))
+
+    def test_export_onto_directory_exit_2_names_path(self, corpus, manifest_file,
+                                                     config_file, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config_file), "--manifest", str(manifest_file),
+                     "--data-root", str(corpus), "--run-dir", str(run_dir)]) == 0
+        out = run_dir / "embeddings_test.csv"
+        out.mkdir()
+        capsys.readouterr()
+        assert main(["export-embeddings", "--run-dir", str(run_dir),
+                     "--manifest", str(manifest_file), "--data-root", str(corpus)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.is_dir() and not list(out.iterdir())
+        assert not list(run_dir.glob("*.tmp"))
+
+    def test_empty_validation_split_exit_2_before_training(self, config_file, tmp_path,
+                                                           capsys, monkeypatch):
+        # ten clips per class are two speakers: train and test, no validation
+        root = tmp_path / "data"
+        manifest_path = tmp_path / "m.tsv"
+        ds.write_manifest(manifest_path, ds.synth_dataset(root, n_per_class=10, seed=5))
+        batches = []
+        compose_batch = tr.compose_batch
+        monkeypatch.setattr(tr, "compose_batch",
+                            lambda *a, **kw: batches.append(1) or compose_batch(*a, **kw))
+        run_dir = tmp_path / "run"
+        code = main(["train", "--config", str(config_file), "--manifest", str(manifest_path),
+                     "--data-root", str(root), "--run-dir", str(run_dir)])
+        assert code == 2
+        assert "validation" in capsys.readouterr().err
+        assert batches == []
+        assert not (run_dir / "last.ckpt").exists()
 
     def test_replay_from_resolved_config(self, corpus, manifest_file, config_file,
                                          tmp_path):

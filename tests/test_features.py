@@ -121,11 +121,21 @@ class TestLogFbank:
 
     def test_batch_variant_matches_rowwise(self):
         rng = np.random.default_rng(8)
-        waves = rng.normal(size=(4, 16000)) * 0.3
-        batch = ft.log_fbank_batch(waves)
-        assert batch.shape == (4, 98, 64)
-        single = np.stack([ft.log_fbank(w).values for w in waves])
-        np.testing.assert_array_equal(batch, single)
+        fbank = ft.mel_filterbank()
+        for n in (1, 2, 7, 33, 96):
+            waves = rng.normal(size=(n, 16000)) * 0.3
+            for dtype in (np.float32, np.float64):
+                batch = ft.log_fbank_batch(waves, dtype)
+                assert batch.shape == (n, 98, 64) and batch.dtype == dtype
+                single = np.stack([ft.log_fbank_batch(w[None], dtype)[0] for w in waves])
+                np.testing.assert_array_equal(batch, single)
+                # the whole-stack formula: one FFT call and one filterbank GEMM
+                power = ft._power_batch(waves, dtype).reshape(-1, ft.N_BINS)
+                whole = np.log(np.maximum(power @ fbank.T.astype(dtype),
+                                          np.asarray(ft.LOG_FLOOR, dtype=dtype)))
+                np.testing.assert_array_equal(batch, whole.reshape(n, 98, 64))
+            np.testing.assert_array_equal(ft.log_fbank_batch(waves),
+                                          [ft.log_fbank(w).values for w in waves])
 
     def test_stft_power_is_row_of_batched_power(self):
         rng = np.random.default_rng(9)

@@ -220,6 +220,33 @@ class TestTotalLoss:
         frozen = tr.total_loss(batch, params, cfg, frozen_targets=targets)[0]
         assert float(live.values) == float(frozen.values)
 
+    def test_j_targets_of_unmixed_rows_carry_no_weight(self, store):
+        # a non-mixed row has no j-view; whatever finite j-target stands in
+        # for it, the loss and every gradient come out bit for bit the same
+        cfg = tr.TrainConfig(batch_size=8, beta_penalty=0.5, seed=13)
+        batch = tr.compose_batch(store, list(range(8)), cfg)
+        assert 0 < batch.is_mixed.sum() < 8
+        params = md.init_params(TINY_MODEL, dtype=np.float32)
+        vals_i, vals_j = tr.target_projections(batch, params)
+        np.testing.assert_array_equal(vals_j[~batch.is_mixed], vals_i[~batch.is_mixed])
+        other_j = vals_j.copy()
+        other_j[~batch.is_mixed] = np.random.default_rng(0).normal(
+            size=other_j[~batch.is_mixed].shape) * 10
+
+        def loss_and_grads(targets):
+            params.zero_grad()
+            with ad.Tape():
+                total, _, parts = tr.total_loss(batch, params, cfg, frozen_targets=targets)
+                ad.backward(total)
+            return parts, {n: t.grad.copy() for n, t in params.items()}
+
+        parts, grads = loss_and_grads((vals_i, vals_j))
+        other_parts, other_grads = loss_and_grads((vals_i, other_j))
+        assert parts == other_parts
+        assert grads.keys() == other_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], other_grads[name]), name
+
     def test_loss_bounded_below(self, store):
         cfg = tr.TrainConfig(batch_size=4, beta_penalty=0.5, seed=5)
         batch = tr.compose_batch(store, [0, 3, 6, 9], cfg)
@@ -243,11 +270,36 @@ class TestComposeBatch:
         assert batch.is_mixed.all()
         assert np.all((batch.lambdas > 0) & (batch.lambdas < 1))
 
-    def test_non_mixed_views_differ(self, store):
-        # two independent augmentations of the same clip
+    def test_unmixed_batch_builds_no_j_views(self, store):
         cfg = tr.TrainConfig(batch_size=2, mix_ratio=0.0, seed=8)
         batch = tr.compose_batch(store, [0, 1], cfg)
+        assert batch.feats_i.shape == (2, 98, 64)
+        assert batch.feats_j.shape == (0, 98, 64)
+
+    def test_mixed_row_views_differ(self, store):
+        cfg = tr.TrainConfig(batch_size=2, mix_ratio=1.0, seed=8)
+        batch = tr.compose_batch(store, [0, 1], cfg)
+        assert batch.feats_j.shape == (2, 98, 64)
         assert not np.array_equal(batch.feats_i[0], batch.feats_j[0])
+
+    @pytest.mark.parametrize("beta_penalty", [0.0, 0.5])
+    def test_featurizes_a_j_view_per_mixed_row_only(self, store, monkeypatch, beta_penalty):
+        calls = []
+        log_fbank_batch = tr.log_fbank_batch
+
+        def counting(waves, dtype):
+            calls.append(len(waves))
+            return log_fbank_batch(waves, dtype)
+        monkeypatch.setattr(tr, "log_fbank_batch", counting)
+        cfg = tr.TrainConfig(batch_size=16, beta_penalty=beta_penalty, seed=11)
+        batch = tr.compose_batch(store, list(range(16)), cfg)
+        n_mixed = int(batch.is_mixed.sum())
+        assert 0 < n_mixed < 16
+        if beta_penalty:
+            assert calls == [2 * 16 + n_mixed]
+            assert batch.feats_j.shape == (n_mixed, 98, 64)
+        else:
+            assert calls == [16]
 
     def test_deterministic_given_coordinates(self, store):
         cfg = tr.TrainConfig(batch_size=4, seed=9)
