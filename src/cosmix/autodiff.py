@@ -2,11 +2,11 @@
 
 Exactly the primitives the keyword model and its losses need: dense,
 relu, a fused conv -> bias -> relu block and global average pooling
-(both channels-last, [B, H, W, C]), row normalization, the two
-classification losses, stop_gradient, and a finite-difference harness
-to check every gradient rule. Recording is explicit: ops are taped
-only while a ``Tape`` context is active, so plain calls double as
-inference mode.
+(both channels-last, [B, H, W, C]), row normalization, softmax cross
+entropy, stop_gradient, and a finite-difference harness to check every
+gradient rule. ``sigmoid_bce``, ``sub`` and ``channel_bias_add`` serve no
+training path; bench/tracing.py still patches them by name. Ops are taped
+only while a ``Tape`` context is active, so plain calls are inference.
 """
 from __future__ import annotations
 

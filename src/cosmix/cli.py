@@ -21,7 +21,7 @@ from . import model as md
 from . import runconfig as rc
 from . import trainer as tr
 from .errors import CheckpointError, ConfigError, ContractError, DatasetError, \
-    ManifestError, NumericError
+    FormatError, ManifestError, NumericError
 from .verify import run_all
 
 EXIT_OK = 0
@@ -35,8 +35,12 @@ USAGE_ERRORS = (ValueError, DatasetError, CheckpointError, ContractError, OSErro
 
 
 def _clip_seconds(path):
-    with wave_mod.open(str(path), "rb") as fh:
-        return fh.getnframes() / fh.getframerate()
+    """Duration from the WAV header alone; the samples are not read."""
+    try:
+        with wave_mod.open(str(path), "rb") as fh:
+            return fh.getnframes() / fh.getframerate()
+    except (wave_mod.Error, EOFError) as exc:
+        raise FormatError(f"{path}: malformed WAV ({exc or 'truncated'})") from None
 
 
 def cmd_prepare(args):

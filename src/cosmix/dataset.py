@@ -123,7 +123,7 @@ def load_wav(path, root=None):
     except FileNotFoundError:
         raise
     except (wave_mod.Error, EOFError) as exc:
-        raise FormatError(f"{full}: malformed WAV ({exc})") from None
+        raise FormatError(f"{full}: malformed WAV ({exc or 'truncated'})") from None
     if comp != "NONE":
         raise UnsupportedFormatError(f"{full}: compressed WAV not supported")
     if n_channels != 1:
@@ -289,10 +289,10 @@ def read_manifest(path, root):
         if split not in SPLITS:
             raise ManifestError(f"{path}:{i}: unknown split {split!r}")
         try:
-            label = int(label_s)
+            label = KeywordLabel(int(label_s)).index
         except ValueError:
-            raise ManifestError(f"{path}:{i}: bad label {label_s!r}") from None
-        KeywordLabel(label)
+            raise ManifestError(f"{path}:{i}: bad label {label_s!r}, expected "
+                                f"0..{len(KEYWORDS) - 1}") from None
         entries.append(ManifestEntry(rel, label, speaker, split))
     return DatasetManifest(entries=tuple(entries), root=str(root))
 

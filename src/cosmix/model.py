@@ -4,9 +4,9 @@ The reference "tinyconv" encoder is four 3x3 stride-2 conv -> bias ->
 relu blocks (channels 32-64-64-128) and a global average pool, run
 channels-last and sized to roughly 0.13M inference parameters; kernels
 are stored [O, C, kh, kw]. The projector maps the embedding
-into the 128-dimensional space where the contrastive loss lives; by
-default it is dense -> relu -> dense so its output is not relu-clipped,
-with a single dense+relu variant behind ``proj_two_layer=False``.
+into the 128-dimensional space where the contrastive loss lives through
+dense -> relu -> dense (hidden width 128), so its output is not
+relu-clipped.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from .features import FRAME_COUNT, N_MELS
 
 N_CLASSES = 10
 PROJ_DIM = 128
+PROJ_HIDDEN = 128
 FEAT_SHAPE = (FRAME_COUNT, N_MELS)
 KERNEL_SIZE = 3
 STRIDE = 2
@@ -35,13 +36,13 @@ CHECKPOINT_VERSION = 1
 @dataclass(frozen=True)
 class ModelConfig:
     channels: tuple = (32, 64, 64, 128)
-    proj_hidden: int = 128
-    proj_two_layer: bool = True
     init_seed: int = 0
 
     def __post_init__(self):
-        if len(self.channels) < 1:
-            raise ValueError("need at least one conv block")
+        if not self.channels or min(self.channels) < 1:
+            raise ValueError(f"model_channels must list positive counts, got {self.channels}")
+        if self.init_seed < 0:
+            raise ValueError(f"model_init_seed must be >= 0, got {self.init_seed}")
 
     @property
     def embed_dim(self):
@@ -66,15 +67,10 @@ def init_params(config, dtype=np.float32):
     d = config.embed_dim
     params.add("cls.w", uniform((d, N_CLASSES), d), dtype=dtype)
     params.add("cls.b", np.zeros(N_CLASSES), dtype=dtype)
-    if config.proj_two_layer:
-        params.add("proj.w1", uniform((d, config.proj_hidden), d), dtype=dtype)
-        params.add("proj.b1", np.zeros(config.proj_hidden), dtype=dtype)
-        params.add("proj.w2", uniform((config.proj_hidden, PROJ_DIM),
-                                      config.proj_hidden), dtype=dtype)
-        params.add("proj.b2", np.zeros(PROJ_DIM), dtype=dtype)
-    else:
-        params.add("proj.w1", uniform((d, PROJ_DIM), d), dtype=dtype)
-        params.add("proj.b1", np.zeros(PROJ_DIM), dtype=dtype)
+    params.add("proj.w1", uniform((d, PROJ_HIDDEN), d), dtype=dtype)
+    params.add("proj.b1", np.zeros(PROJ_HIDDEN), dtype=dtype)
+    params.add("proj.w2", uniform((PROJ_HIDDEN, PROJ_DIM), PROJ_HIDDEN), dtype=dtype)
+    params.add("proj.b2", np.zeros(PROJ_DIM), dtype=dtype)
     return params
 
 
@@ -119,9 +115,7 @@ def classifier_forward(embedding, params):
 def projector_forward(embedding, params):
     """[B, D] -> [B, 128] projection for the contrastive loss."""
     h = ad.relu(ad.dense(embedding, params["proj.w1"], params["proj.b1"]))
-    if "proj.w2" in params:
-        return ad.dense(h, params["proj.w2"], params["proj.b2"])
-    return h
+    return ad.dense(h, params["proj.w2"], params["proj.b2"])
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +185,13 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: unsupported version {version}")
     try:
         config = parse_model_config(r.string(), source=str(path))
+        epoch = r.u32()
+        rng_state = r.take(r.u32())
+        metrics_tail = json.loads(r.string())
     except ConfigError as exc:
         raise CheckpointError(str(exc)) from None
-    epoch = r.u32()
-    rng_state = r.take(r.u32())
-    metrics_tail = json.loads(r.string())
+    except ValueError as exc:  # a text field that is not UTF-8, or a tail not JSON
+        raise CheckpointError(f"{path}: corrupt text field ({exc})") from None
     n_records = r.u32()
     parameters = {}
     for _ in range(n_records):

@@ -10,13 +10,14 @@ from pathlib import Path
 
 from .augment import AugmentConfig
 from .errors import ConfigError
-from .model import N_CLASSES, PROJ_DIM, ModelConfig
+from .model import N_CLASSES, PROJ_DIM, PROJ_HIDDEN, ModelConfig
 from .trainer import TrainConfig
 
-# Model keys that config files and checkpoints written before their removal
-# still carry, each at the only value it could ever hold.
-_RETIRED = {"model_kernel_size": 3, "model_stride": 2,
-            "model_n_classes": N_CLASSES, "model_proj_dim": PROJ_DIM}
+# Keys that files written before their removal still carry, each at its one
+# value; compared after the cast, so both `true` and `True` match a bool.
+_RETIRED = {"model_kernel_size": 3, "model_stride": 2, "model_n_classes": N_CLASSES,
+            "model_proj_dim": PROJ_DIM, "model_proj_hidden": PROJ_HIDDEN,
+            "model_proj_two_layer": True, "cls_loss": "softmax_ce"}
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,12 @@ def parse_config(text, source="<config>"):
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         seen.add(key)
-        if key in _RETIRED:
-            if value != str(_RETIRED[key]):
-                raise ConfigError(f"{source}:{lineno}: retired key {key!r} "
-                                  f"can only be {_RETIRED[key]}, got {value!r}")
-            continue
-        section, field_name, cast = _KEYS[key]
         try:
+            if key in _RETIRED:
+                if _cast_for(_RETIRED[key])(value) != _RETIRED[key]:
+                    raise ValueError(f"retired key, can only be {_RETIRED[key]}")
+                continue
+            section, field_name, cast = _KEYS[key]
             values[section][field_name] = cast(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from None

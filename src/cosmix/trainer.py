@@ -48,16 +48,16 @@ class TrainConfig:
     beta_penalty: float = 0.5
     alpha: float = 10.0
     mix_ratio: float = 0.5
-    cls_loss: str = "softmax_ce"
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta_penalty < 0:
-            raise ValueError("beta_penalty must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.cls_loss not in ("softmax_ce", "sigmoid_bce"):
-            raise ValueError(f"unknown cls_loss {self.cls_loss!r}")
+        for key, low in (("batch_size", 1), ("epochs", 1), ("decay_every", 1),
+                         ("beta_penalty", 0), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        for key in ("lr0", "decay_rate"):
+            if not getattr(self, key) > 0:  # NaN fails this too
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
         if not 0 <= self.mix_ratio <= 1:
             raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
         BetaParams(self.alpha)
@@ -217,22 +217,13 @@ def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), epoch=1, batch_i
 # ---------------------------------------------------------------------------
 # losses
 
-def _rowwise_loss(cls_loss):
-    if cls_loss == "softmax_ce":
-        return ad.softmax_cross_entropy_rowwise
-    if cls_loss == "sigmoid_bce":
-        return ad.sigmoid_bce_rowwise
-    raise ValueError(f"unknown cls_loss {cls_loss!r}")
-
-
-def loss_mix(logits, y_i, y_j, lambdas, cls_loss="softmax_ce"):
+def loss_mix(logits, y_i, y_j, lambdas):
     """Batch mean of lam * CE(logits, y_i) + (1 - lam) * CE(logits, y_j)."""
-    rows = _rowwise_loss(cls_loss)
     dtype = logits.values.dtype if isinstance(logits, ad.Tensor) else np.float64
     lam = ad.Tensor(np.asarray(lambdas, dtype=dtype))
     one_minus = ad.Tensor(1.0 - np.asarray(lambdas, dtype=dtype))
-    ce_i = rows(logits, ad.Tensor(np.asarray(y_i, dtype=dtype)))
-    ce_j = rows(logits, ad.Tensor(np.asarray(y_j, dtype=dtype)))
+    ce_i = ad.softmax_cross_entropy_rowwise(logits, ad.Tensor(np.asarray(y_i, dtype=dtype)))
+    ce_j = ad.softmax_cross_entropy_rowwise(logits, ad.Tensor(np.asarray(y_j, dtype=dtype)))
     return ad.mean_all(ad.add(ad.mul(lam, ce_i), ad.mul(one_minus, ce_j)))
 
 
@@ -281,7 +272,7 @@ def total_loss(batch, params, cfg, frozen_targets=None):
     feats_mix = ad.Tensor(batch.feats_mix.astype(dtype, copy=False))
     emb = encoder_forward(feats_mix, params)
     logits = classifier_forward(emb, params)
-    l_mix = loss_mix(logits, batch.y_i, batch.y_j, batch.lambdas, cfg.cls_loss)
+    l_mix = loss_mix(logits, batch.y_i, batch.y_j, batch.lambdas)
 
     parts = {"loss_mix": float(l_mix.values), "loss_cos": 0.0}
     if cfg.beta_penalty != 0.0:

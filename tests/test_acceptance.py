@@ -144,6 +144,7 @@ def test_criterion_5_mode_nesting(tiny_corpus):
            "mixup(ratio=0) == baseline")
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_ordering(desk_corpus):
     t0 = time.monotonic()
     means = {}

@@ -39,7 +39,8 @@ model_channels = 2,3
 """
 
 
-# config.resolved as written before the four fixed model fields were retired
+# config.resolved as written before the seven retired keys left: each still
+# loads at its one value
 OLD_RESOLVED = """batch_size = 128
 epochs = 70
 lr0 = 0.005
@@ -137,7 +138,10 @@ class TestRunConfig:
         assert rc.load_config(path) == rc.default_settings()
 
     @pytest.mark.parametrize("key,value", [("model_kernel_size", "5"), ("model_stride", "1"),
-                                           ("model_n_classes", "12"), ("model_proj_dim", "64")])
+                                           ("model_n_classes", "12"), ("model_proj_dim", "64"),
+                                           ("cls_loss", "sigmoid_bce"),
+                                           ("model_proj_hidden", "64"),
+                                           ("model_proj_two_layer", "false")])
     def test_retired_key_at_other_value_rejected(self, tmp_path, key, value):
         path = tmp_path / "config.resolved"
         path.write_text("".join(f"{key} = {value}\n" if line.startswith(key + " ")
@@ -166,6 +170,17 @@ class TestPrepare:
         code = main(["prepare", "--data-root", str(tmp_path / "nope"),
                      "--output", str(out)])
         assert code == 2
+        assert not out.exists()
+
+    def test_malformed_wav_exit_2_names_file(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        manifest = ds.synth_dataset(root, n_per_class=20, noise_level=0.1, seed=5)
+        clip = root / manifest.split_entries("train")[0].path
+        clip.write_bytes(clip.read_bytes()[:30])  # cut inside the fmt chunk
+        out = tmp_path / "manifest.tsv"
+        code = main(["prepare", "--data-root", str(root), "--output", str(out)])
+        assert code == 2
+        assert f"{clip}: malformed WAV" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fraction_one_equals_untrimmed(self, corpus, tmp_path):
@@ -250,6 +265,25 @@ class TestTrainEval:
                                                      tmp_path, capsys, key, value):
         bad = tmp_path / "bad.cfg"
         bad.write_text(FAST_CONFIG + f"{key} = {value}\n")
+        run_dir = tmp_path / "r"
+        code = main(["train", "--config", str(bad), "--manifest", str(manifest_file),
+                     "--data-root", str(corpus), "--run-dir", str(run_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and key in err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", "0"), ("batch_size", "-1"), ("decay_every", "0"), ("lr0", "-1"),
+        ("lr0", "nan"), ("decay_rate", "0"), ("seed", "-1"), ("model_channels", "-4"),
+        ("model_channels", "0"), ("model_channels", "2,0"), ("model_init_seed", "-1"),
+        ("cls_loss", "sigmoid_bce"), ("model_proj_two_layer", "false"),
+        ("model_proj_hidden", "64")])
+    def test_unrunnable_value_exit_2_before_run_dir(self, corpus, manifest_file, tmp_path,
+                                                    capsys, key, value):
+        bad = tmp_path / "bad.cfg"
+        kept = [line for line in FAST_CONFIG.splitlines() if not line.startswith(key + " ")]
+        bad.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
         run_dir = tmp_path / "r"
         code = main(["train", "--config", str(bad), "--manifest", str(manifest_file),
                      "--data-root", str(corpus), "--run-dir", str(run_dir)])

@@ -301,6 +301,13 @@ class TestManifestSerialization:
         with pytest.raises(ManifestError):
             ds.read_manifest(bad, tmp_path)
 
+    @pytest.mark.parametrize("label", ["12", "-1"])
+    def test_label_outside_keywords_names_file_and_line(self, tmp_path, label):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"yes/a.wav\t0\ta\ttrain\nno/b.wav\t{label}\tb\ttrain\n")
+        with pytest.raises(ManifestError, match=f"{bad}:2: bad label '{label}'"):
+            ds.read_manifest(bad, tmp_path)
+
 
 class TestSynthDataset:
     def test_entry_count(self, tmp_path):

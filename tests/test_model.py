@@ -49,7 +49,7 @@ class TestInit:
         assert 80_000 <= n <= 150_000
 
     def test_projector_output_is_128_for_every_config(self):
-        for cfg in (md.ModelConfig(), TINY, md.ModelConfig(proj_two_layer=False)):
+        for cfg in (md.ModelConfig(), TINY):
             params = md.init_params(cfg)
             emb = ad.Tensor(np.random.default_rng(0).normal(size=(2, cfg.embed_dim)))
             assert md.projector_forward(emb, params).values.shape == (2, 128)
@@ -145,9 +145,9 @@ class TestCheckpoint:
                              epoch=7, rng_state=b"\x01\x02seed",
                              metrics_tail={"val_acc": 0.5})
 
-    @pytest.mark.parametrize("config", [TINY, md.ModelConfig(channels=(8, 16), init_seed=9,
-                                                             proj_two_layer=False)],
-                             ids=["tiny", "one-layer-proj"])
+    @pytest.mark.parametrize("config", [TINY, md.ModelConfig(channels=(8, 16, 4),
+                                                             init_seed=9)],
+                             ids=["tiny", "three-block"])
     def test_round_trip_bit_exact(self, tmp_path, config):
         path = tmp_path / "model.ckpt"
         ckpt = self._ckpt(config)
@@ -175,7 +175,9 @@ class TestCheckpoint:
         assert md.load_checkpoint(path).config == md.ModelConfig()
 
     @pytest.mark.parametrize("key,value", [("kernel_size", "5"), ("stride", "1"),
-                                           ("n_classes", "12"), ("proj_dim", "64")])
+                                           ("n_classes", "12"), ("proj_dim", "64"),
+                                           ("proj_hidden", "64"),
+                                           ("proj_two_layer", "False")])
     def test_retired_key_at_other_value_rejected(self, tmp_path, key, value):
         path = tmp_path / "old.ckpt"
         md.save_checkpoint(path, self._ckpt(md.ModelConfig()))
@@ -185,6 +187,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as err:
             md.load_checkpoint(path)
         assert str(path) in str(err.value) and key in str(err.value)
+
+    def test_config_text_not_utf8_names_path(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, self._ckpt())
+        raw = path.read_bytes()
+        n = struct.unpack("<I", raw[8:12])[0]
+        path.write_bytes(raw[:12] + b"\xff" * n + raw[12 + n:])
+        with pytest.raises(CheckpointError, match="corrupt text field") as err:
+            md.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_metrics_tail_not_json_names_path(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, self._ckpt())
+        raw = path.read_bytes()
+        tail = b'{"val_acc": 0.5}'
+        assert raw.count(tail) == 1
+        path.write_bytes(raw.replace(tail, b'{"val_acc"; 0.5}'))
+        with pytest.raises(CheckpointError, match="corrupt text field") as err:
+            md.load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_magic_present(self, tmp_path):
         path = tmp_path / "model.ckpt"

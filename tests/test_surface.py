@@ -12,7 +12,7 @@ import pkgutil
 
 import cosmix
 
-EXPECTED = 107
+EXPECTED = 103
 
 
 def _defaulted(prefix, fn):
