@@ -6,6 +6,13 @@ end: WAV ingestion, log-mel features, augmentation, a minimal
 reverse-mode autodiff engine, a small convolutional model, training,
 and evaluation.
 """
+import os as _os
+
+# One BLAS thread unless the caller chose otherwise: conv2d already runs
+# its row blocks on both cores (autodiff.POOL_WORKERS), and BLAS threads
+# on top of that contend for the same two CPUs. This only takes effect
+# when numpy has not been imported yet.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .augment import AugmentConfig, BetaParams, mix_labels, mixup_waveforms, \
     sample_beta, spec_augment, time_shift, time_stretch

@@ -7,12 +7,38 @@ entropy, stop_gradient, and a finite-difference harness to check every
 gradient rule. ``sigmoid_bce``, ``sub`` and ``channel_bias_add`` serve no
 training path; bench/tracing.py still patches them by name. Ops are taped
 only while a ``Tape`` context is active, so plain calls are inference.
+
+Row blocks. ``conv2d`` does its per-row work in blocks of ``BLOCK_CLIPS``
+clips (the last block takes the remainder), shared between the calling
+thread and one pool worker that starts on the first call. Per block: the
+padding, the im2col copy, the forward GEMM and the bias add, and in
+backward the mask, the input-gradient GEMM and col2im. Every output row
+depends on its own input rows only, so blocks give the same bits as one
+whole-batch call, as long as each block's GEMM is large enough for BLAS
+to use the kernels it uses for the whole product (``MIN_MADDS``). A call
+runs as one block on the caller when ``POOL_WORKERS`` is 0 (one CPU is
+ours), when the batch holds fewer than two blocks, or when a block would
+be smaller than that.
+Whole: the finiteness check, on the full pre-activation, then the relu,
+and the two products that reduce over rows, the bias sum and the weight
+GEMM. The weight GEMM may be split in two along an output axis, which
+leaves each element's sum over rows whole. The bias sum runs whole over a
+channels-first copy, in the order it always had: a row-wise sum rounds
+differently, and training results follow those roundings. Workers run
+numpy into preallocated slices only: they create no ``Tensor``, call
+neither ``_sabotage`` nor ``_check_finite``, and reach no module attribute
+that bench/tracing.py patches, so neither the tracer nor the thread-local
+recording stack sees them. The caller waits for the worker's blocks
+before it returns or re-raises, and a worker's exception is raised in the
+caller.
 """
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -173,11 +199,17 @@ def _node(op, values, parents, vjp):
     return out
 
 
-def _accum(t, g):
+def _accum(t, g, owned=False):
+    """Add ``g`` into ``t.grad``. A first gradient is copied, since later
+    accumulation writes into ``t.grad`` in place, unless the vjp passes
+    ``owned``: ``g`` is an array it built for ``t`` alone."""
     if t.tape_id is None:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.values.dtype, copy=True)
+        if owned and g.dtype == t.values.dtype:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.values.dtype, copy=True)
     else:
         t.grad += g
 
@@ -324,11 +356,11 @@ def dense(x, w, b):
     def vjp(g):
         g = _sabotage("dense", g)
         if _wants_grad(x):
-            _accum(x, g @ wv.T)
+            _accum(x, g @ wv.T, owned=True)
         if _wants_grad(w):
-            _accum(w, xv.T @ g)
+            _accum(w, xv.T @ g, owned=True)
         if _wants_grad(b):
-            _accum(b, g.sum(axis=0))
+            _accum(b, g.sum(axis=0), owned=True)
     return _record("dense", xv @ wv + b.values, (x, w, b), vjp)
 
 
@@ -336,18 +368,26 @@ def conv2d(x, k, b, stride=1, padding=0):
     """One conv block, channels-last: ``relu(x ⋆ k + b)``.
 
     [B, H, W, C] input, [O, C, kh, kw] kernels, [O] bias -> [B, Ho, Wo, O].
-    Computed as im2col plus one GEMM per product: the input is padded
-    once into a [B, Hp, Wp, C] buffer whose strided [B, Ho, Wo, kh, kw, C]
-    window view is copied once into the [B*Ho*Wo, kh*kw*C] ``cols``
-    matrix; with ``kmat`` the kernel as [O, kh*kw*C], ``cols @ kmat.T``
-    is the output in [B*Ho*Wo, O] order. Bias and relu are applied in
-    place with the finiteness check between them, so a non-finite
-    pre-activation raises even where the relu would clamp it. In
-    backward, ``g2`` is the output gradient masked by ``out > 0``, as
-    [B*Ho*Wo, O]: the weight gradient is ``g2.T @ cols`` and the input
-    gradient ``g2 @ kmat`` scattered back by one strided add per kernel
-    offset (col2im). The vjp closure keeps ``cols``, ``kmat`` and the
-    output.
+    Computed as im2col plus one GEMM per product. With ``kmat`` the kernel
+    as [O, kh*kw*C], each row block of ``BLOCK_CLIPS`` clips is padded
+    into its own [n, Hp, Wp, C] buffer, whose strided window view is
+    copied into the block's rows of the [B*Ho*Wo, kh*kw*C] ``cols``
+    matrix; ``cols @ kmat.T`` for those rows goes into the block's rows
+    of the [B*Ho*Wo, O] output, and the bias is added there. The
+    finiteness check then runs on the whole pre-activation, before the
+    relu, so a non-finite value raises even where the relu would clamp
+    it.
+
+    In backward, ``g2`` is the output gradient masked by ``out > 0``, as
+    [B*Ho*Wo, O]. Per row block: the mask, a channels-first copy of
+    ``g2``, the input gradient ``g2 @ kmat`` and its scatter back by one
+    strided add per kernel offset (col2im). Whole: the bias gradient,
+    summed over the channels-first copy, and the weight gradient
+    ``g2.T @ cols``, which reduce over rows. When each half is large, the
+    weight GEMM runs as two halves on the pool, split along whichever of
+    its output axes halves the larger operand; each element still sums
+    over all rows at once. The vjp closure keeps ``cols``, ``kmat`` and
+    the output. Blocks and halves are described in the module docstring.
     """
     x, k, b = as_tensor(x), as_tensor(k), as_tensor(b)
     _want_rank(x, 4, "conv2d", "x")
@@ -363,37 +403,161 @@ def conv2d(x, k, b, stride=1, padding=0):
         raise ShapeError(f"conv2d: padded input {(hp, wp)} smaller than kernel {(kh, kw)}")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
+    rows = ho * wo  # im2col rows per clip
+    width = kh * kw * cin  # im2col columns
 
-    xp = np.zeros((bsz, hp, wp, cin), dtype=x.values.dtype)
-    xp[:, padding:padding + h, padding:padding + w] = x.values
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
-    cols = windows.reshape(bsz * ho * wo, kh * kw * cin)
-    kmat = k.values.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    out = cols @ kmat.T
-    out += b.values
+    xv, bv = x.values, b.values
+    kmat = k.values.transpose(0, 2, 3, 1).reshape(cout, width)
+    cols = np.empty((bsz * rows, width), dtype=xv.dtype)
+    out = np.empty((bsz * rows, cout), dtype=np.result_type(cols, kmat))
+
+    def forward_block(lo, hi):
+        xp = np.zeros((hi - lo, hp, wp, cin), dtype=xv.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = xv[lo:hi]
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+        cols[lo * rows:hi * rows].reshape(hi - lo, ho, wo, kh, kw, cin)[...] = \
+            windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+        np.matmul(cols[lo * rows:hi * rows], kmat.T, out=out[lo * rows:hi * rows])
+        out[lo * rows:hi * rows] += bv
+
+    _in_blocks(forward_block, bsz, rows * width * cout)
     _check_finite("conv2d", out)
     np.maximum(out, 0, out=out)
     out = out.reshape(bsz, ho, wo, cout)
 
     def vjp(g):
-        g = _sabotage("conv2d", g) * (out > 0)
-        g2 = g.reshape(bsz * ho * wo, cout)
-        if _wants_grad(b):
-            # summed in the order of a channels-first [B, O, Ho, Wo] map: a
-            # row-wise sum rounds differently, enough to move training results
-            _accum(b, np.ascontiguousarray(g.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3)))
+        g = _sabotage("conv2d", g)
+        g2 = np.empty((bsz * rows, cout), dtype=g.dtype)
+        want_b, want_x = _wants_grad(b), _wants_grad(x)
+        if want_b:
+            g_cf = np.empty((bsz, cout, ho, wo), dtype=g.dtype)
+        if want_x:
+            dxp = np.zeros((bsz, hp, wp, cin), dtype=np.result_type(g2, kmat))
+
+        def backward_block(lo, hi):
+            g2_blk = g2[lo * rows:hi * rows]
+            g4_blk = g2_blk.reshape(hi - lo, ho, wo, cout)
+            np.multiply(g[lo:hi], out[lo:hi] > 0, out=g4_blk)
+            if want_b:
+                g_cf[lo:hi] = g4_blk.transpose(0, 3, 1, 2)
+            if want_x:
+                dcols = (g2_blk @ kmat).reshape(hi - lo, ho, wo, kh, kw, cin)
+                dxp_blk = dxp[lo:hi]
+                for i in range(kh):
+                    for j in range(kw):
+                        dxp_blk[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
+                            dcols[:, :, :, i, j]
+
+        _in_blocks(backward_block, bsz, rows * width * cout)
+        if want_b:
+            # summed whole, in the order of a channels-first [B, O, Ho, Wo]
+            # map: a row-wise sum rounds differently, enough to move
+            # training results
+            _accum(b, g_cf.sum(axis=(0, 2, 3)), owned=True)
         if _wants_grad(k):
-            _accum(k, (g2.T @ cols).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
-        if _wants_grad(x):
-            dcols = (g2 @ kmat).reshape(bsz, ho, wo, kh, kw, cin)
-            dxp = np.zeros((bsz, hp, wp, cin), dtype=dcols.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
-                        dcols[:, :, :, i, j]
-            _accum(x, dxp[:, padding:padding + h, padding:padding + w])
+            dk = np.empty((cout, width), dtype=np.result_type(g2, cols))
+            # each half of the product reads all of one operand and half of
+            # the other, so halve the larger: g2 by output channel, or cols
+            # by column
+            by_channel = cout >= width
+            n, other = (cout, width) if by_channel else (width, cout)
+
+            def weight_part(lo, hi):
+                if by_channel:
+                    np.matmul(g2[:, lo:hi].T, cols, out=dk[lo:hi])
+                else:
+                    np.matmul(g2.T, cols[:, lo:hi], out=dk[:, lo:hi])
+
+            # a half one row or column wide goes to numpy's gemv, which sums
+            # in another order than the whole product does
+            if POOL_WORKERS and other >= 2 and n >= 4 and \
+                    bsz * rows * other * (n // 2) >= MIN_MADDS:
+                _share(weight_part, ((0, n // 2), (n // 2, n)))
+            else:
+                weight_part(0, n)
+            _accum(k, dk.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), owned=True)
+        if want_x:
+            _accum(x, dxp[:, padding:padding + h, padding:padding + w], owned=True)
     return _node("conv2d", out, (x, k, b), vjp)
+
+
+# ---------------------------------------------------------------------------
+# row blocks on a two-thread pool
+
+# clips per row block. On a two-vCPU Sapphire Rapids VM, blocks of 8 and
+# 16 timed alike and 32 leaves a 32-clip call one block; 8 gives a 32-clip
+# call four blocks, so a thread whose CPU the hypervisor stalls holds up
+# one small block while the other thread takes the rest.
+BLOCK_CLIPS = 8
+# multiply-adds in each row block's GEMM and in each half of a split weight
+# GEMM, at least. A smaller product can take OpenBLAS's small-matrix
+# kernels, which sum in another order than the kernels of the whole
+# product; in a sweep of conv shapes with OpenBLAS 0.3.31 on Sapphire
+# Rapids, at 1 and 2 BLAS threads, every block or half that differed from
+# the whole product had under 2**20.
+MIN_MADDS = 1 << 21
+# pool workers besides the calling thread: one where a second CPU is ours
+POOL_WORKERS = min(2, len(os.sched_getaffinity(0))) - 1
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The single pool worker, started on first use and then kept idle
+    between calls: handing it a task costs less than starting and joining
+    a thread (about 110 against 180 microseconds on a two-vCPU VM), and a
+    step makes a dozen conv calls. concurrent.futures joins it at interpreter exit."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cosmix-conv")
+        return _pool
+
+
+def _share(fn, spans):
+    """Call ``fn(lo, hi)`` for every span, taken one at a time from one
+    shared iterator by the calling thread and by the pool worker, and
+    return once both are done. The worker runs in a copy of the caller's
+    context, so numpy's error state (``np.errstate``) holds there too. A
+    worker's exception is raised here; the first error stops both threads
+    from taking further spans."""
+    spans = iter(spans)
+    lock = threading.Lock()
+    failed = False
+
+    def take_all():
+        nonlocal failed
+        while True:
+            with lock:
+                span = None if failed else next(spans, None)
+            if span is None:
+                return
+            try:
+                fn(*span)
+            except BaseException:
+                failed = True
+                raise
+
+    future = _executor().submit(contextvars.copy_context().run, take_all)
+    try:
+        take_all()
+    finally:
+        wait([future])
+    future.result()
+
+
+def _in_blocks(fn, bsz, clip_madds):
+    """Call ``fn(lo, hi)`` over clips [0, bsz) in blocks of ``BLOCK_CLIPS``
+    clips, the last block taking the remainder, or once over all clips
+    when there is one block or a block's GEMM, at ``clip_madds``
+    multiply-adds per clip, would be under ``MIN_MADDS``."""
+    n = bsz // BLOCK_CLIPS
+    if POOL_WORKERS == 0 or n < 2 or BLOCK_CLIPS * clip_madds < MIN_MADDS:
+        fn(0, bsz)
+    else:
+        bounds = [i * BLOCK_CLIPS for i in range(n)] + [bsz]
+        _share(fn, zip(bounds[:-1], bounds[1:]))
 
 
 def channel_bias_add(x, b):

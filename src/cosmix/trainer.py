@@ -33,7 +33,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-EVAL_BATCH = 256
+EVAL_BATCH = 32
 
 
 @dataclass(frozen=True)

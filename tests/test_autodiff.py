@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,47 @@ class TestDense:
 
 def nhwc(a):
     return a.transpose(0, 2, 3, 1)
+
+
+BLOCK = 4  # clips per row block in the tests below
+# [H, W, C] input and output channels whose 4-clip blocks do more than
+# autodiff.MIN_MADDS multiply-adds at every (stride, padding) below
+POOLED_SHAPE = ((24, 24, 16), 32)
+
+
+def pooled(monkeypatch, workers=1):
+    monkeypatch.setattr(ad, "POOL_WORKERS", workers)
+    monkeypatch.setattr(ad, "BLOCK_CLIPS", BLOCK)
+
+
+def spy_share(monkeypatch):
+    """Record (function name, span) for every span handed to the pool."""
+    share, spans = ad._share, []
+
+    def spy(fn, fn_spans):
+        fn_spans = list(fn_spans)
+        spans.extend((fn.__name__, span) for span in fn_spans)
+        return share(fn, fn_spans)
+    monkeypatch.setattr(ad, "_share", spy)
+    return spans
+
+
+def conv_and_grads(x, k, b, weights, stride=2, padding=1):
+    """conv2d's output and the x, k and b gradients of sum(out * weights)."""
+    xt, kt, bt = (ad.Tensor(a.copy(), requires_grad=True) for a in (x, k, b))
+    with ad.Tape():
+        out = ad.conv2d(xt, kt, bt, stride=stride, padding=padding)
+        ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(weights))))
+    return out.values, xt.grad, kt.grad, bt.grad
+
+
+def conv_case(rng, bsz, hwc, cout, stride, padding, dtype):
+    h, w, cin = hwc
+    x = rng.normal(size=(bsz, h, w, cin)).astype(dtype)
+    k = rng.normal(size=(cout, cin, 3, 3)).astype(dtype)
+    b = rng.normal(size=cout).astype(dtype)
+    ho, wo = (h + 2 * padding - 3) // stride + 1, (w + 2 * padding - 3) // stride + 1
+    return x, k, b, rng.normal(size=(bsz, ho, wo, cout)).astype(dtype)
 
 
 class TestConv2d:
@@ -121,6 +165,118 @@ class TestConv2d:
             ad.conv2d(p["x"], p["k"], p["b"], stride=stride, padding=padding), weights)),
             {"x": nhwc(x).copy(), "k": k, "b": b}, h=1e-5)
         assert err < 1e-6
+
+    # pooled row blocks give the bits of one inline whole-batch call
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 0), (1, 1)])
+    @pytest.mark.parametrize("bsz", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_pooled_blocks_match_one_inline_block(self, monkeypatch, bsz, stride, padding,
+                                                  dtype):
+        case = conv_case(np.random.default_rng(bsz), bsz, *POOLED_SHAPE, stride, padding,
+                         dtype)
+        pooled(monkeypatch)
+        spans = spy_share(monkeypatch)
+        blocks = conv_and_grads(*case, stride=stride, padding=padding)
+        # the last block takes the remainder: 3 * BLOCK + 5 clips are 4 blocks
+        n_blocks = bsz // BLOCK if bsz >= 2 * BLOCK else 0
+        for name in ("forward_block", "backward_block"):
+            assert [span for fn, span in spans if fn == name][-1:] == \
+                ([(BLOCK * (n_blocks - 1), bsz)] if n_blocks else []), name
+        pooled(monkeypatch, workers=0)
+        whole = conv_and_grads(*case, stride=stride, padding=padding)
+        for name, a, c in zip(("out", "x", "k", "b"), blocks, whole):
+            assert a.dtype == dtype, name
+            assert np.array_equal(a, c), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bsz,hwc,cout", [(33, (98, 64, 1), 32), (17, (13, 8, 64), 128)],
+                             ids=["by-channel", "by-column"])
+    def test_weight_gradient_halves_match_whole_product(self, monkeypatch, bsz, hwc, cout,
+                                                        dtype):
+        # encoder blocks 0 and 3: each half is large enough to be split
+        case = conv_case(np.random.default_rng(5), bsz, hwc, cout, 2, 1, dtype)
+        pooled(monkeypatch, workers=0)
+        whole = conv_and_grads(*case)
+        pooled(monkeypatch)
+        spans = spy_share(monkeypatch)
+        halves = conv_and_grads(*case)
+        assert len([span for fn, span in spans if fn == "weight_part"]) == 2
+        for name, a, c in zip(("out", "x", "k", "b"), halves, whole):
+            assert np.array_equal(a, c), name
+
+    def test_worker_error_surfaces_in_caller(self, monkeypatch):
+        pooled(monkeypatch)
+        caller, share = threading.current_thread(), ad._share
+        worker_started = threading.Event()
+
+        def failing_on_worker(fn, spans):
+            def block(lo, hi):
+                if threading.current_thread() is caller:
+                    assert worker_started.wait(10), "the pool worker took no block"
+                    fn(lo, hi)
+                else:
+                    worker_started.set()
+                    raise RuntimeError(f"block {lo}:{hi} failed on the worker")
+            return share(block, spans)
+        monkeypatch.setattr(ad, "_share", failing_on_worker)
+        case = conv_case(np.random.default_rng(6), 3 * BLOCK, *POOLED_SHAPE, 2, 1, np.float32)
+        with pytest.raises(RuntimeError, match=r"block \d+:\d+ failed on the worker"):
+            ad.conv2d(*(ad.Tensor(a) for a in case[:3]), stride=2, padding=1)
+
+    def test_no_block_runs_after_return(self, monkeypatch, tmp_path):
+        from cosmix import dataset as ds
+        from cosmix import model as md
+        from cosmix import trainer as tr
+
+        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
+        caller, share = threading.current_thread(), ad._share
+        lock = threading.Lock()
+        state = {"running": 0, "worker_blocks": 0}
+
+        def tracked(fn, spans):
+            worker_started = threading.Event()
+
+            def block(lo, hi):
+                with lock:
+                    state["running"] += 1
+                try:
+                    if threading.current_thread() is caller:
+                        assert worker_started.wait(10), "the pool worker took no block"
+                    else:
+                        worker_started.set()
+                        time.sleep(0.002)  # the worker's blocks finish last
+                        with lock:
+                            state["worker_blocks"] += 1
+                    fn(lo, hi)
+                finally:
+                    with lock:
+                        state["running"] -= 1
+            return share(block, spans)
+        monkeypatch.setattr(ad, "_share", tracked)
+
+        def returned(what):
+            assert state["running"] == 0, f"a block still runs after {what} returned"
+
+        case = conv_case(np.random.default_rng(7), 3 * ad.BLOCK_CLIPS, *POOLED_SHAPE, 2, 1,
+                         np.float32)
+        ad.conv2d(*(ad.Tensor(a) for a in case[:3]), stride=2, padding=1)
+        returned("conv2d")
+        conv_and_grads(*case)
+        returned("backward")
+        manifest = ds.synth_dataset(tmp_path / "corpus", n_per_class=20, noise_level=0.1,
+                                    seed=7)
+        # a small encoder whose conv blocks pass MIN_MADDS at 8-clip blocks
+        model_cfg = md.ModelConfig(channels=(24, 8), init_seed=1)
+        result = tr.train(tr.TrainConfig(batch_size=16, epochs=1, seed=3), manifest,
+                          mode="cosmix", model_cfg=model_cfg, clock=lambda: 0.0)
+        returned("train")
+        store = tr.ClipStore(manifest)
+        tr.evaluate(store, "test", result.params)
+        returned("evaluate")
+        tr.export_embeddings(store, "test", result.params, tmp_path / "emb.csv")
+        returned("export_embeddings")
+        assert state["worker_blocks"] > 0
 
 
 class TestPointwise:
@@ -308,6 +464,38 @@ class TestBackward:
         with ad.Tape():
             ad.backward(ad.add(ad.sum_all(x), ad.sum_all(x)))
         np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+
+    def test_add_gives_each_parent_its_own_gradient(self):
+        # add hands one upstream array to both parents; a later
+        # accumulation into a.grad must not show up in b.grad
+        params = ad.ParameterSet()
+        a = params.add("a", np.arange(3.0))
+        b = params.add("b", np.ones(3))
+        w = ad.Tensor(np.array([2.0, 3.0, 4.0]))
+        with ad.Tape():
+            first = ad.mul(a, w)  # recorded first, so its vjp runs last
+            ad.backward(ad.sum_all(ad.add(first, ad.add(a, b))))
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+        np.testing.assert_array_equal(a.grad, 1.0 + w.values)
+
+    def test_conv2d_first_gradients_are_not_copied(self, monkeypatch):
+        # conv2d builds each of its three gradients for one parent alone,
+        # so the first to reach a parent is kept as it is
+        handed = {}
+        accum = ad._accum
+
+        def spy(t, g, **kwargs):
+            handed.setdefault(id(t), g)
+            accum(t, g, **kwargs)
+        monkeypatch.setattr(ad, "_accum", spy)
+        rng = np.random.default_rng(8)
+        x, k, b, weights = conv_case(rng, 3, (7, 6, 3), 4, 2, 1, np.float32)
+        xt, kt, bt = (ad.Tensor(v, requires_grad=True) for v in (x, k, b))
+        with ad.Tape():
+            out = ad.conv2d(xt, kt, bt, stride=2, padding=1)
+            ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(weights))))
+        for name, t in (("x", xt), ("k", kt), ("b", bt)):
+            assert t.grad is handed[id(t)], name
 
     def test_non_scalar_loss_rejected(self):
         with ad.Tape():

@@ -476,3 +476,56 @@ class TestResume:
         with pytest.raises(Exception, match="seed"):
             tr.train(bad, small_corpus, mode="cosmix", model_cfg=TINY_MODEL,
                      resume_from=ckpt)
+
+
+class TestRowBlocks:
+    """Conv row blocks on the pool (autodiff.POOL_WORKERS) leave every
+    output byte as one inline block per conv call writes it."""
+
+    # a small encoder whose conv blocks pass autodiff.MIN_MADDS at
+    # 8-clip blocks; block 1's weight GEMM splits by column, block 0's by
+    # output channel
+    MODEL = md.ModelConfig(channels=(24, 8), init_seed=1)
+    OUTPUTS = ("metrics.jsonl", "last.ckpt", "best.ckpt", "emb.csv")
+
+    def run_outputs(self, manifest, mode, run_dir):
+        run_dir.mkdir()
+        result = tr.train(FAST, manifest, mode=mode, model_cfg=self.MODEL,
+                          metrics_path=run_dir / "metrics.jsonl", checkpoint_dir=run_dir,
+                          clock=lambda: 0.0)
+        best = tr.params_from_values(self.MODEL, result.best_values)
+        tr.export_embeddings(tr.ClipStore(manifest), "test", best, run_dir / "emb.csv")
+        return {name: (run_dir / name).read_bytes() for name in self.OUTPUTS}
+
+    @pytest.mark.parametrize("mode", tr.MODES)
+    def test_pooled_and_inline_runs_write_identical_bytes(self, small_corpus, tmp_path,
+                                                          monkeypatch, mode):
+        share, pooled_fns = ad._share, set()
+
+        def spy(fn, spans):
+            pooled_fns.add(fn.__name__)
+            return share(fn, spans)
+        monkeypatch.setattr(ad, "_share", spy)
+        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
+        pooled = self.run_outputs(small_corpus, mode, tmp_path / "pooled")
+        assert pooled_fns == {"forward_block", "backward_block", "weight_part"}
+        monkeypatch.setattr(ad, "POOL_WORKERS", 0)
+        inline = self.run_outputs(small_corpus, mode, tmp_path / "inline")
+        for name in self.OUTPUTS:
+            assert pooled[name] == inline[name], name
+
+    def test_verify_with_pooled_blocks(self, monkeypatch, capsys):
+        from cosmix.cli import main
+        # every conv of the suites goes to the pool, one clip per block
+        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
+        monkeypatch.setattr(ad, "BLOCK_CLIPS", 1)
+        monkeypatch.setattr(ad, "MIN_MADDS", 0)
+        assert main(["verify"]) == 0
+        assert "all 15 suites passed" in capsys.readouterr().out
+        monkeypatch.setenv(ad.SABOTAGE_ENV, "conv2d")
+        assert main(["verify"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAILED: ")]
+        assert len(failed) == 1
+        assert {"conv2d_grad", "conv2d_c1_grad", "full_loss_grad"} <= \
+            set(failed[0][len("FAILED: "):].split(", "))
