@@ -31,6 +31,10 @@ that bench/tracing.py patches, so neither the tracer nor the thread-local
 recording stack sees them. The caller waits for the worker's blocks
 before it returns or re-raises, and a worker's exception is raised in the
 caller.
+
+``_share`` has a second user: ``features.log_fbank_batch`` hands its rows
+to the same worker in spans of a few rows, under the same rules. There
+is one executor and one worker for both.
 """
 from __future__ import annotations
 
@@ -511,7 +515,7 @@ def _executor():
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cosmix-conv")
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cosmix-pool")
         return _pool
 
 

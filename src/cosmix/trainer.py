@@ -21,8 +21,9 @@ from .augment import AugmentConfig, BetaParams, mixup_waveforms, sample_beta, \
 from .dataset import KEYWORDS, KeywordLabel, atomic_write, load_wav, pad_or_trim
 from .errors import ContractError, DatasetError, NumericError
 from .features import log_fbank_batch
-# bench/tracing.py patches the per-clip featurizer by this older name; the
-# alias goes with the next change to bench/
+# bench/tracing.py, now this alias's only user, patches the per-clip
+# featurizer by this older name; the alias goes with the next change to
+# bench/
 from .features import log_fbank as log_fbank_cached
 from .model import Checkpoint, ModelConfig, classifier_forward, encoder_forward, \
     init_params, projector_forward, save_checkpoint
@@ -140,12 +141,18 @@ class ClipStore:
             cached = self._waves[entry.path] = clip.samples
         return cached
 
-    def eval_features(self, entry):
-        cached = self._eval_feats.get(entry.path)
-        if cached is None:
-            values = log_fbank_cached(self.wave(entry)).values
-            cached = self._eval_feats[entry.path] = values.astype(np.float32)
-        return cached
+    def eval_features(self, entries):
+        """Evaluation features [n, 98, 64] float32 of a chunk of entries.
+
+        The uncached entries are featurized in one float64
+        ``log_fbank_batch`` call, cast to float32 and cached row by row.
+        """
+        missing = {e.path: e for e in entries if e.path not in self._eval_feats}
+        if missing:
+            waves = np.stack([self.wave(e) for e in missing.values()])
+            feats = log_fbank_batch(waves, np.float64).astype(np.float32)
+            self._eval_feats.update(zip(missing, feats))
+        return np.stack([self._eval_feats[e.path] for e in entries])
 
 
 def _augment_wave(wave, rng, aug_cfg):
@@ -345,8 +352,7 @@ def _forward_split(store, split, params, head=None):
     entries = store.manifest.split_entries(split)
     if not entries:
         raise ValueError(f"split {split!r} is empty")
-    outputs = [_paused_forward(np.stack([store.eval_features(e)
-                                         for e in entries[start:start + EVAL_BATCH]]),
+    outputs = [_paused_forward(store.eval_features(entries[start:start + EVAL_BATCH]),
                                params, head)
                for start in range(0, len(entries), EVAL_BATCH)]
     return entries, np.concatenate(outputs)

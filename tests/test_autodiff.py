@@ -226,6 +226,7 @@ class TestConv2d:
 
     def test_no_block_runs_after_return(self, monkeypatch, tmp_path):
         from cosmix import dataset as ds
+        from cosmix import features as ft
         from cosmix import model as md
         from cosmix import trainer as tr
 
@@ -264,6 +265,8 @@ class TestConv2d:
         returned("conv2d")
         conv_and_grads(*case)
         returned("backward")
+        ft.log_fbank_batch(np.random.default_rng(8).normal(size=(3 * ft.SPAN_ROWS, 16000)))
+        returned("log_fbank_batch")
         manifest = ds.synth_dataset(tmp_path / "corpus", n_per_class=20, noise_level=0.1,
                                     seed=7)
         # a small encoder whose conv blocks pass MIN_MADDS at 8-clip blocks
@@ -272,7 +275,9 @@ class TestConv2d:
                           mode="cosmix", model_cfg=model_cfg, clock=lambda: 0.0)
         returned("train")
         store = tr.ClipStore(manifest)
-        tr.evaluate(store, "test", result.params)
+        tr.compose_batch(store, list(range(16)), tr.TrainConfig(batch_size=16, seed=3))
+        returned("compose_batch")
+        tr.evaluate(store, "test", result.params)  # cold: no feature is cached yet
         returned("evaluate")
         tr.export_embeddings(store, "test", result.params, tmp_path / "emb.csv")
         returned("export_embeddings")

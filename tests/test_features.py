@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from cosmix import autodiff as ad
 from cosmix import features as ft
 
 
@@ -156,3 +159,53 @@ class TestLogFbank:
     def test_batch_variant_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             ft.log_fbank_batch(np.zeros(16000))
+
+
+class TestRowSpans:
+    """log_fbank_batch's rows on the pool worker (autodiff._share)."""
+
+    @staticmethod
+    def pooled(monkeypatch, span_rows):
+        """Force the pool at ``span_rows`` rows per span; returns the spans
+        handed to it."""
+        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
+        monkeypatch.setattr(ft, "SPAN_ROWS", span_rows)
+        share, spans = ad._share, []
+
+        def spy(fn, fn_spans):
+            fn_spans = list(fn_spans)
+            spans.extend(fn_spans)
+            return share(fn, fn_spans)
+        monkeypatch.setattr(ad, "_share", spy)
+        return spans
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 33, 96])
+    @pytest.mark.parametrize("span_rows", [1, 3])  # 3 leaves a shorter last span
+    def test_pooled_rows_match_inline(self, monkeypatch, span_rows, n, dtype):
+        spans = self.pooled(monkeypatch, span_rows)
+        waves = np.random.default_rng(n).normal(size=(n, 16000)) * 0.3
+        pooled = ft.log_fbank_batch(waves, dtype)
+        # fewer than two spans, a one-row call among them, never reach the pool
+        assert spans == ([(lo, min(lo + span_rows, n)) for lo in range(0, n, span_rows)]
+                         if n > span_rows else [])
+        monkeypatch.setattr(ad, "POOL_WORKERS", 0)
+        inline = ft.log_fbank_batch(waves, dtype)
+        assert pooled.dtype == dtype
+        assert np.array_equal(pooled, inline)
+
+    def test_worker_error_surfaces_in_caller(self, monkeypatch):
+        spans = self.pooled(monkeypatch, 1)
+        caller, power_batch = threading.current_thread(), ft._power_batch
+        worker_started = threading.Event()
+
+        def failing_on_worker(waves, dtype):
+            if threading.current_thread() is caller:
+                assert worker_started.wait(10), "the pool worker took no row"
+                return power_batch(waves, dtype)
+            worker_started.set()
+            raise RuntimeError("row failed on the worker")
+        monkeypatch.setattr(ft, "_power_batch", failing_on_worker)
+        with pytest.raises(RuntimeError, match="row failed on the worker"):
+            ft.log_fbank_batch(np.zeros((4, 16000)))
+        assert spans == [(0, 1), (1, 2), (2, 3), (3, 4)]

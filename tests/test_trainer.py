@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import threading
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from cosmix import autodiff as ad
 from cosmix import dataset as ds
+from cosmix import features as ft
 from cosmix import model as md
 from cosmix import trainer as tr
 from cosmix.augment import AugmentConfig
@@ -349,6 +351,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             tr.evaluate(tr.ClipStore(manifest), "test", md.init_params(TINY_MODEL))
 
+    def test_cold_chunk_matches_per_clip_features(self, small_corpus, monkeypatch):
+        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
+        store = tr.ClipStore(small_corpus)
+        entries = small_corpus.split_entries("test")[:tr.EVAL_BATCH]
+        expected = np.stack([ft.log_fbank(store.wave(e)).values.astype(np.float32)
+                             for e in entries])
+        chunk = store.eval_features(entries)
+        assert chunk.shape == (len(entries), 98, 64) and chunk.dtype == np.float32
+        assert np.array_equal(chunk, expected)
+        # a chunk that is partly cached, in another order
+        more = small_corpus.split_entries("test")[tr.EVAL_BATCH - 2:tr.EVAL_BATCH + 2][::-1]
+        assert len(more) == 4
+        assert np.array_equal(store.eval_features(more), [
+            ft.log_fbank(store.wave(e)).values.astype(np.float32) for e in more])
+
 
 class TestExportEmbeddings:
     def test_record_shape_and_determinism(self, store, tmp_path):
@@ -479,8 +496,9 @@ class TestResume:
 
 
 class TestRowBlocks:
-    """Conv row blocks on the pool (autodiff.POOL_WORKERS) leave every
-    output byte as one inline block per conv call writes it."""
+    """Conv row blocks and log-mel row spans on the pool
+    (autodiff.POOL_WORKERS) leave every output byte as inline calls write
+    it."""
 
     # a small encoder whose conv blocks pass autodiff.MIN_MADDS at
     # 8-clip blocks; block 1's weight GEMM splits by column, block 0's by
@@ -508,11 +526,23 @@ class TestRowBlocks:
         monkeypatch.setattr(ad, "_share", spy)
         monkeypatch.setattr(ad, "POOL_WORKERS", 1)
         pooled = self.run_outputs(small_corpus, mode, tmp_path / "pooled")
-        assert pooled_fns == {"forward_block", "backward_block", "weight_part"}
+        assert pooled_fns == {"forward_block", "backward_block", "weight_part",
+                              "featurize_span"}
         monkeypatch.setattr(ad, "POOL_WORKERS", 0)
         inline = self.run_outputs(small_corpus, mode, tmp_path / "inline")
         for name in self.OUTPUTS:
             assert pooled[name] == inline[name], name
+
+    def test_one_pool_thread(self, small_corpus, tmp_path, monkeypatch):
+        # conv blocks and log-mel rows share the one worker
+        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
+        result = tr.train(dataclasses.replace(FAST, epochs=1), small_corpus, mode="cosmix",
+                          model_cfg=self.MODEL, clock=lambda: 0.0)
+        store = tr.ClipStore(small_corpus)
+        tr.evaluate(store, "test", result.params)
+        tr.export_embeddings(store, "test", result.params, tmp_path / "emb.csv")
+        names = [t.name for t in threading.enumerate() if t.name.startswith("cosmix-")]
+        assert names == ["cosmix-pool_0"]
 
     def test_verify_with_pooled_blocks(self, monkeypatch, capsys):
         from cosmix.cli import main
