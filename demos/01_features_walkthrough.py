@@ -6,7 +6,7 @@ give the 64 columns.
 """
 import numpy as np
 
-from cosmix import log_fbank, mel_filterbank, stft_power
+from cosmix import log_fbank_batch, mel_filterbank, stft_power
 from cosmix.dataset import SAMPLE_RATE, synth_waveform
 from cosmix.features import N_FFT, filter_centers_hz
 
@@ -26,6 +26,6 @@ fbank = mel_filterbank()
 centers = filter_centers_hz()
 print(f"mel filters: {fbank.shape}, centers {centers[0]:.0f} Hz .. {centers[-1]:.0f} Hz")
 
-feat = log_fbank(wave)
-print(f"log-mel features: {feat.values.shape}, "
-      f"range [{feat.values.min():.1f}, {feat.values.max():.1f}]")
+feat = log_fbank_batch(wave[None])[0]  # a stack of one clip
+print(f"log-mel features: {feat.shape}, "
+      f"range [{feat.min():.1f}, {feat.max():.1f}]")

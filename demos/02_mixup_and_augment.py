@@ -6,8 +6,8 @@ SpecAugment do to shapes and content.
 """
 import numpy as np
 
-from cosmix import AugmentConfig, BetaParams, log_fbank, mix_labels, \
-    mixup_waveforms, sample_beta, spec_augment, time_shift, time_stretch
+from cosmix import AugmentConfig, BetaParams, log_fbank_batch, mixup_waveforms, \
+    sample_beta, spec_augment, time_shift, time_stretch
 from cosmix.dataset import synth_waveform
 
 rng = np.random.default_rng(7)
@@ -21,7 +21,7 @@ x_i = synth_waveform(label=2, noise_level=0.05, rng=rng)
 x_j = synth_waveform(label=7, noise_level=0.05, rng=rng)
 lam = sample_beta(params, rng)
 x_mix = mixup_waveforms(x_i, x_j, lam)
-y_mix = mix_labels(np.eye(10)[2], np.eye(10)[7], lam)
+y_mix = lam * np.eye(10)[2] + (1 - lam) * np.eye(10)[7]
 print(f"lambda {lam:.3f}: soft label puts {y_mix[2]:.3f} on class 2 "
       f"and {y_mix[7]:.3f} on class 7")
 
@@ -30,7 +30,7 @@ shifted = time_shift(x_mix, rng, cfg)
 stretched = time_stretch(shifted, rng, cfg)
 print(f"after shift+stretch: still {stretched.size} samples")
 
-feat = log_fbank(stretched).values
+feat = log_fbank_batch(stretched[None])[0]
 masked = spec_augment(feat, rng, cfg)
 rows = int(np.all(masked == 0.0, axis=1).sum())
 cols = int(np.all(masked == 0.0, axis=0).sum())

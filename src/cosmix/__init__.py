@@ -14,14 +14,14 @@ import os as _os
 # when numpy has not been imported yet.
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .augment import AugmentConfig, BetaParams, mix_labels, mixup_waveforms, \
-    sample_beta, spec_augment, time_shift, time_stretch
+from .augment import AugmentConfig, BetaParams, mixup_waveforms, sample_beta, \
+    spec_augment, time_shift, time_stretch
 from .autodiff import ParameterSet, Tape, Tensor, backward, \
     finite_difference_check, stop_gradient
-from .dataset import DatasetManifest, KeywordLabel, KEYWORDS, WavClip, \
-    build_manifest, load_wav, pad_or_trim, read_manifest, synth_dataset, \
-    trim_by_speaker, write_manifest, write_wav
-from .features import FeatureMatrix, log_fbank, mel_filterbank, stft_power
+from .dataset import DatasetManifest, KEYWORDS, build_manifest, load_wav, \
+    pad_or_trim, read_manifest, synth_dataset, trim_by_speaker, write_manifest, \
+    write_wav
+from .features import log_fbank_batch, mel_filterbank, stft_power
 from .model import Checkpoint, ModelConfig, classifier_forward, encoder_forward, \
     init_params, load_checkpoint, projector_forward, save_checkpoint
 from .runconfig import RunSettings, default_settings, format_config, load_config

@@ -32,6 +32,9 @@ class AugmentConfig:
     n_freq_masks: int = 1
 
     def __post_init__(self):
+        for key in ("shift_ms_low", "shift_ms_high", "stretch_low", "stretch_high"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.shift_ms_low > self.shift_ms_high:
             raise ValueError("shift range inverted")
         for key in ("shift_ms_low", "shift_ms_high"):
@@ -59,8 +62,8 @@ class BetaParams:
     alpha: float = 10.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 def _gamma_variate(alpha, rng):
@@ -105,22 +108,6 @@ def mixup_waveforms(x_i, x_j, lam):
     if not 0 <= lam <= 1:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     return lam * x_i + (1.0 - lam) * x_j
-
-
-def _check_one_hot(y, name):
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or not np.all((y == 0) | (y == 1)) or y.sum() != 1:
-        raise ValueError(f"{name} is not one-hot")
-    return y
-
-
-def mix_labels(y_i, y_j, lam):
-    """Soft label lam * y_i + (1 - lam) * y_j; at most two nonzero entries."""
-    y_i = _check_one_hot(y_i, "y_i")
-    y_j = _check_one_hot(y_j, "y_j")
-    if not 0 <= lam <= 1:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    return lam * y_i + (1.0 - lam) * y_j
 
 
 def shift_samples(wave, s):

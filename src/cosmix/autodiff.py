@@ -4,9 +4,10 @@ Exactly the primitives the keyword model and its losses need: dense,
 relu, a fused conv -> bias -> relu block and global average pooling
 (both channels-last, [B, H, W, C]), row normalization, softmax cross
 entropy, stop_gradient, and a finite-difference harness to check every
-gradient rule. ``sigmoid_bce``, ``sub`` and ``channel_bias_add`` serve no
-training path; bench/tracing.py still patches them by name. Ops are taped
-only while a ``Tape`` context is active, so plain calls are inference.
+gradient rule. ``sigmoid_bce_rowwise``, ``sub`` and ``channel_bias_add``
+serve no training path; bench/tracing.py still patches them by name, and
+the ``sigmoid_bce_grad`` verify suite audits the first. Ops are taped only
+while a ``Tape`` context is active, so plain calls are inference.
 
 Row blocks. ``conv2d`` does its per-row work in blocks of ``BLOCK_CLIPS``
 clips (the last block takes the remainder), shared between the calling
@@ -668,10 +669,10 @@ def sigmoid_bce_rowwise(logits, target):
     """Per-row mean of elementwise binary cross entropy on logits -> [B]."""
     logits, target = as_tensor(logits), as_tensor(target)
     if logits.values.shape != target.values.shape:
-        raise ShapeError(f"sigmoid_bce: {logits.values.shape} vs {target.values.shape}")
+        raise ShapeError(f"sigmoid_bce_rowwise: {logits.values.shape} vs {target.values.shape}")
     t = target.values
     if (t < -1e-9).any() or (t > 1 + 1e-9).any():
-        raise ValueError("sigmoid_bce: target entries must lie in [0, 1]")
+        raise ValueError("sigmoid_bce_rowwise: target entries must lie in [0, 1]")
     z = logits.values
     k = z.shape[1]
     elem = np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))
@@ -681,11 +682,6 @@ def sigmoid_bce_rowwise(logits, target):
         _accum(logits, g[:, None] * (sig - t) / k)
         _accum(target, g[:, None] * (-z) / k)
     return _record("sigmoid_bce_rowwise", elem.mean(axis=1), (logits, target), vjp)
-
-
-def sigmoid_bce(logits, target):
-    """Mean over all B*K elements of stable binary cross entropy -> scalar."""
-    return mean_all(sigmoid_bce_rowwise(logits, target))
 
 
 # ---------------------------------------------------------------------------

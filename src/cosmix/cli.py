@@ -148,16 +148,28 @@ def _cell_seed(base_seed, mode, mix_ratio, alpha):
     return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
+def _sweep_values(flag, text, field, train_cfg):
+    """The comma-separated numbers of ``flag``, each checked as ``field`` of
+    ``train_cfg`` so the sweep meets no value its cells cannot run."""
+    try:
+        values = [float(x) for x in text.split(",")]
+        for v in values:
+            dataclasses.replace(train_cfg, **{field: v})
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {text!r}: {exc}") from None
+    return values
+
+
 def cmd_ablate(args):
     settings = _load_settings(args)
     manifest = _read_manifest(args)
-    run_dir = _prepare_run_dir(args.run_dir, args.force)
-    ratios = [float(x) for x in args.mix_ratios.split(",")]
-    alphas = [float(x) for x in args.alphas.split(",")]
+    ratios = _sweep_values("--mix-ratios", args.mix_ratios, "mix_ratio", settings.train)
+    alphas = _sweep_values("--alphas", args.alphas, "alpha", settings.train)
     modes = [m.strip() for m in args.modes.split(",")]
     for m in modes:
         if m not in tr.MODES:
             raise ConfigError(f"unknown mode {m!r} in --modes")
+    run_dir = _prepare_run_dir(args.run_dir, args.force)
 
     base_seed = settings.train.seed
     store = tr.ClipStore(manifest)  # every cell reads the same clips

@@ -3,7 +3,9 @@
 The on-disk layout follows Google Speech Commands V2:
 ``<word>/<speaker_id>_nohash_<n>.wav`` plus ``validation_list.txt`` and
 ``testing_list.txt`` holding one relative path per line. Ten keyword
-classes are supported; everything else is skipped.
+classes are supported; everything else is skipped. Only ``build_manifest``
+reads labels and speakers from paths; everything downstream takes them
+from the manifest, so a manifest's paths need not follow the layout.
 """
 from __future__ import annotations
 
@@ -23,46 +25,6 @@ KEYWORDS = ("up", "down", "left", "right", "yes", "no", "on", "off", "go", "stop
 _KEYWORD_INDEX = {w: i for i, w in enumerate(KEYWORDS)}
 
 SPLITS = ("train", "validation", "test")
-
-
-@dataclass(frozen=True)
-class KeywordLabel:
-    """One of the ten target words; name<->index bijection is fixed."""
-
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < len(KEYWORDS):
-            raise ValueError(f"keyword index {self.index} outside 0..{len(KEYWORDS) - 1}")
-
-    @property
-    def name(self):
-        return KEYWORDS[self.index]
-
-    @property
-    def one_hot(self):
-        v = np.zeros(len(KEYWORDS))
-        v[self.index] = 1.0
-        return v
-
-
-@dataclass(frozen=True)
-class WavClip:
-    """Mono 16 kHz waveform with its label and speaker identity."""
-
-    samples: np.ndarray
-    sample_rate: int
-    label: int
-    speaker_id: str
-    source_path: str
-
-    def __post_init__(self):
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"sample_rate must be {SAMPLE_RATE}, got {self.sample_rate}")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("clip contains non-finite samples")
-        if np.abs(self.samples).max(initial=0.0) > 1.0:
-            raise ValueError("clip samples exceed [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -107,9 +69,10 @@ def parse_clip_path(rel_path):
 
 
 def load_wav(path, root=None):
-    """Read a 16-bit mono 16 kHz PCM WAV into a WavClip.
+    """Read a 16-bit mono 16 kHz PCM WAV into float64 samples in [-1, 1).
 
-    Unsupported parameter combinations are rejected, never resampled.
+    Unsupported parameter combinations are rejected, never resampled, and
+    so is a clip without samples.
     """
     path = Path(path)
     full = Path(root) / path if root is not None else path
@@ -132,10 +95,9 @@ def load_wav(path, root=None):
         raise UnsupportedFormatError(f"{full}: expected 16-bit PCM, got {8 * sampwidth}-bit")
     if rate != SAMPLE_RATE:
         raise UnsupportedFormatError(f"{full}: expected {SAMPLE_RATE} Hz, got {rate}")
-    ints = np.frombuffer(raw, dtype="<i2")
-    label, speaker = parse_clip_path(path)
-    return WavClip(samples=ints.astype(np.float64) / 32768.0, sample_rate=rate,
-                   label=label, speaker_id=speaker, source_path=str(path))
+    if not raw:
+        raise FormatError(f"{full}: empty clip")
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
 def write_wav(path, samples, sample_rate=SAMPLE_RATE):
@@ -151,19 +113,16 @@ def write_wav(path, samples, sample_rate=SAMPLE_RATE):
         fh.writeframes(ints.tobytes())
 
 
-def pad_or_trim(clip):
+def pad_or_trim(samples):
     """Zero-pad on the right or drop tail samples to hit exactly ``CLIP_SAMPLES``."""
-    n = clip.samples.size
-    if n == 0:
-        raise ValueError(f"{clip.source_path}: empty clip")
+    n = samples.size
     if n == CLIP_SAMPLES:
-        return clip
+        return samples
     if n > CLIP_SAMPLES:
-        samples = clip.samples[:CLIP_SAMPLES].copy()
-    else:
-        samples = np.zeros(CLIP_SAMPLES, dtype=clip.samples.dtype)
-        samples[:n] = clip.samples
-    return replace(clip, samples=samples)
+        return samples[:CLIP_SAMPLES].copy()
+    out = np.zeros(CLIP_SAMPLES, dtype=samples.dtype)
+    out[:n] = samples
+    return out
 
 
 def _read_list(path):
@@ -289,7 +248,9 @@ def read_manifest(path, root):
         if split not in SPLITS:
             raise ManifestError(f"{path}:{i}: unknown split {split!r}")
         try:
-            label = KeywordLabel(int(label_s)).index
+            label = int(label_s)
+            if not 0 <= label < len(KEYWORDS):
+                raise ValueError
         except ValueError:
             raise ManifestError(f"{path}:{i}: bad label {label_s!r}, expected "
                                 f"0..{len(KEYWORDS) - 1}") from None

@@ -7,7 +7,6 @@ mel filters between 20 Hz and 8 kHz, natural-log compression with a
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,19 +30,6 @@ N_BINS = N_FFT // 2 + 1  # 257
 # to wait on when the hypervisor stalls the other CPU, and a 32-clip
 # evaluation chunk still makes 8 of them.
 SPAN_ROWS = 4
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """98 x 64 log-mel energies of one clip."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (FRAME_COUNT, N_MELS):
-            raise ValueError(f"feature matrix must be (98, 64), got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature matrix contains non-finite values")
 
 
 def hann_periodic(n):
@@ -145,7 +131,3 @@ def log_fbank_batch(waves, dtype=np.float64):
         featurize_span(0, n)
     return out
 
-
-def log_fbank(wave):
-    """Log-mel features of a one-second waveform -> FeatureMatrix (98 x 64)."""
-    return FeatureMatrix(values=log_fbank_batch(np.asarray(wave)[None])[0])

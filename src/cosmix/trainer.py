@@ -9,6 +9,7 @@ bit-identical to the baseline.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -18,15 +19,16 @@ import numpy as np
 from . import autodiff as ad
 from .augment import AugmentConfig, BetaParams, mixup_waveforms, sample_beta, \
     spec_augment, time_shift, time_stretch
-from .dataset import KEYWORDS, KeywordLabel, atomic_write, load_wav, pad_or_trim
+from .dataset import KEYWORDS, atomic_write, load_wav, pad_or_trim
 from .errors import ContractError, DatasetError, NumericError
 from .features import log_fbank_batch
-# bench/tracing.py, now this alias's only user, patches the per-clip
-# featurizer by this older name; the alias goes with the next change to
-# bench/
-from .features import log_fbank as log_fbank_cached
 from .model import Checkpoint, ModelConfig, classifier_forward, encoder_forward, \
     init_params, projector_forward, save_checkpoint
+
+# bench/tracing.py patches this name; nothing calls it, so the tracer's
+# features.log_fbank_cached.* metrics read 0 (evaluation featurizes through
+# log_fbank_batch). The alias goes with the next change to bench/.
+log_fbank_cached = log_fbank_batch
 
 MODES = ("baseline", "mixup", "cosmix")
 
@@ -52,12 +54,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("lr0", "decay_rate", "beta_penalty"):  # BetaParams checks alpha
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         for key, low in (("batch_size", 1), ("epochs", 1), ("decay_every", 1),
                          ("beta_penalty", 0), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         for key in ("lr0", "decay_rate"):
-            if not getattr(self, key) > 0:  # NaN fails this too
+            if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
         if not 0 <= self.mix_ratio <= 1:
             raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
@@ -137,8 +142,8 @@ class ClipStore:
     def wave(self, entry):
         cached = self._waves.get(entry.path)
         if cached is None:
-            clip = pad_or_trim(load_wav(entry.path, root=self.manifest.root))
-            cached = self._waves[entry.path] = clip.samples
+            cached = self._waves[entry.path] = pad_or_trim(
+                load_wav(entry.path, root=self.manifest.root))
         return cached
 
     def eval_features(self, entries):
@@ -180,6 +185,7 @@ def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), epoch=1, batch_i
     with_views = cfg.beta_penalty != 0.0
     n_views = 3 if with_views else 1
     views = [[] for _ in range(n_views)]  # (augmented wave, generator), row order
+    one_hot = np.eye(len(KEYWORDS))
     y_i = np.empty((b, len(KEYWORDS)))
     y_j = np.empty((b, len(KEYWORDS)))
     lambdas = np.empty(b)
@@ -206,8 +212,8 @@ def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), epoch=1, batch_i
         for v in range(n_views if mixed else min(n_views, 2)):
             view_rng = np.random.default_rng(key + [v + 1])
             views[v].append((_augment_wave(view_waves[v], view_rng, aug_cfg), view_rng))
-        y_i[row] = KeywordLabel(entries[i_idx].label).one_hot
-        y_j[row] = KeywordLabel(entries[j_idx].label).one_hot
+        y_i[row] = one_hot[entries[i_idx].label]
+        y_j[row] = one_hot[entries[j_idx].label]
         lambdas[row] = lam
         is_mixed[row] = mixed
 

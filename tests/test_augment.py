@@ -93,37 +93,6 @@ class TestMixup:
                                    ag.mixup_waveforms(b, a, 1.0 - lam), atol=1e-12)
 
 
-class TestMixLabels:
-    def _one_hot(self, k):
-        v = np.zeros(10)
-        v[k] = 1.0
-        return v
-
-    def test_equal_labels_fixed_point(self):
-        y = self._one_hot(3)
-        for lam in (0.0, 0.25, 1.0):
-            np.testing.assert_array_equal(ag.mix_labels(y, y, lam), y)
-
-    def test_two_class_mix(self):
-        out = ag.mix_labels(self._one_hot(2), self._one_hot(5), 0.7)
-        assert out[2] == pytest.approx(0.7)
-        assert out[5] == pytest.approx(0.3)
-        assert np.count_nonzero(out) == 2
-
-    def test_sums_to_one_randomized(self):
-        rng = np.random.default_rng(10)
-        for _ in range(1000):
-            i, j = rng.integers(0, 10, size=2)
-            lam = rng.uniform()
-            out = ag.mix_labels(self._one_hot(i), self._one_hot(j), lam)
-            assert out.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.count_nonzero(out) <= 2
-
-    def test_rejects_non_one_hot(self):
-        with pytest.raises(ValueError, match="one-hot"):
-            ag.mix_labels(np.full(10, 0.1), self._one_hot(0), 0.5)
-
-
 class TestTimeShift:
     def test_zero_shift_identity(self):
         rng = np.random.default_rng(11)

@@ -402,21 +402,23 @@ class TestSoftmaxCE:
 
 class TestSigmoidBCE:
     def test_zero_logit_half_target(self):
-        out = ad.sigmoid_bce(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.full((2, 3), 0.5)))
+        out = ad.mean_all(ad.sigmoid_bce_rowwise(ad.Tensor(np.zeros((2, 3))),
+                                                 ad.Tensor(np.full((2, 3), 0.5))))
         np.testing.assert_allclose(float(out.values), np.log(2.0), atol=1e-12)
 
     def test_large_logit_no_overflow(self):
-        out = ad.sigmoid_bce(ad.Tensor(np.full((1, 4), 40.0)), ad.Tensor(np.ones((1, 4))))
+        out = ad.mean_all(ad.sigmoid_bce_rowwise(ad.Tensor(np.full((1, 4), 40.0)),
+                                                 ad.Tensor(np.ones((1, 4)))))
         assert 0 <= float(out.values) < 1e-9
 
     def test_rejects_out_of_range_target(self):
         with pytest.raises(ValueError):
-            ad.sigmoid_bce(ad.Tensor(np.zeros((1, 2))), ad.Tensor([[1.5, 0.0]]))
+            ad.sigmoid_bce_rowwise(ad.Tensor(np.zeros((1, 2))), ad.Tensor([[1.5, 0.0]]))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(14)
         t = rng.uniform(0.05, 0.95, size=(3, 5))
-        err = fd_for(lambda p: ad.sigmoid_bce(p["z"], ad.Tensor(t)),
+        err = fd_for(lambda p: ad.mean_all(ad.sigmoid_bce_rowwise(p["z"], ad.Tensor(t))),
                      {"z": rng.normal(size=(3, 5))}, h=1e-5)
         assert err < 1e-6
 

@@ -278,7 +278,11 @@ class TestTrainEval:
         ("lr0", "nan"), ("decay_rate", "0"), ("seed", "-1"), ("model_channels", "-4"),
         ("model_channels", "0"), ("model_channels", "2,0"), ("model_init_seed", "-1"),
         ("cls_loss", "sigmoid_bce"), ("model_proj_two_layer", "false"),
-        ("model_proj_hidden", "64")])
+        ("model_proj_hidden", "64"), ("alpha", "nan"), ("alpha", "inf"),
+        ("beta_penalty", "nan"), ("beta_penalty", "inf"), ("lr0", "inf"),
+        ("decay_rate", "nan"), ("decay_rate", "inf"), ("shift_ms_low", "nan"),
+        ("shift_ms_high", "nan"), ("stretch_low", "nan"), ("stretch_high", "nan"),
+        ("stretch_high", "inf")])
     def test_unrunnable_value_exit_2_before_run_dir(self, corpus, manifest_file, tmp_path,
                                                     capsys, key, value):
         bad = tmp_path / "bad.cfg"
@@ -404,6 +408,22 @@ class TestAblate:
         assert code == 0
         entries = ds.read_manifest(manifest_file, corpus).entries
         assert sorted(loaded) == sorted(e.path for e in entries)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--alphas", "inf"), ("--alphas", "nan"), ("--alphas", "0"), ("--alphas", "10,x"),
+        ("--mix-ratios", "nan"), ("--mix-ratios", "inf"), ("--mix-ratios", "1.5"),
+        ("--mix-ratios", "")])
+    def test_bad_sweep_value_exit_2_before_run_dir(self, corpus, manifest_file,
+                                                   config_file, tmp_path, capsys,
+                                                   flag, value):
+        run_dir = tmp_path / "sweep4"
+        code = main(["ablate", "--config", str(config_file),
+                     "--manifest", str(manifest_file), "--data-root", str(corpus),
+                     "--run-dir", str(run_dir), "--epochs", "1", "--modes", "mixup",
+                     flag, value])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not run_dir.exists()
 
 
 ERROR_CLASSES = sorted((c for c in vars(errors).values()

@@ -25,30 +25,21 @@ class TestLoadWav:
     def test_silence_round_trip(self, tmp_path):
         path = tmp_path / "yes" / "spk_nohash_0.wav"
         ds.write_wav(path, np.zeros(16000))
-        clip = ds.load_wav(path)
-        assert clip.samples.shape == (16000,)
-        assert np.all(clip.samples == 0)
+        samples = ds.load_wav(path)
+        assert samples.shape == (16000,) and samples.dtype == np.float64
+        assert np.all(samples == 0)
 
     def test_full_scale_value(self, tmp_path):
         path = tmp_path / "yes" / "spk_nohash_0.wav"
         ds.write_wav(path, np.full(16000, 32767 / 32768))
-        clip = ds.load_wav(path)
-        np.testing.assert_allclose(clip.samples, 32767 / 32768, atol=1e-12)
-
-    def test_path_convention_parsing(self, tmp_path):
-        path = tmp_path / "yes" / "abc123_nohash_0.wav"
-        ds.write_wav(path, np.zeros(100))
-        clip = ds.load_wav(path)
-        assert clip.speaker_id == "abc123"
-        assert ds.KEYWORDS[clip.label] == "yes"
+        np.testing.assert_allclose(ds.load_wav(path), 32767 / 32768, atol=1e-12)
 
     def test_int16_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
         ints = rng.integers(-32768, 32768, size=5000).astype(np.int16)
         path = tmp_path / "go" / "s_nohash_0.wav"
         ds.write_wav(path, ints.astype(np.float64) / 32768.0)
-        clip = ds.load_wav(path)
-        back = np.round(clip.samples * 32768.0).astype(np.int16)
+        back = np.round(ds.load_wav(path) * 32768.0).astype(np.int16)
         np.testing.assert_array_equal(back, ints)
 
     def test_rejects_wrong_rate(self, tmp_path):
@@ -79,30 +70,34 @@ class TestLoadWav:
         with pytest.raises(FileNotFoundError):
             ds.load_wav(tmp_path / "yes" / "nope_nohash_0.wav")
 
+    def test_empty_clip_rejected(self, tmp_path):
+        path = tmp_path / "yes" / "s_nohash_0.wav"
+        ds.write_wav(path, np.zeros(0))
+        with pytest.raises(ValueError, match="empty") as info:
+            ds.load_wav("yes/s_nohash_0.wav", root=tmp_path)
+        assert str(path) in str(info.value)
+
 
 class TestPadOrTrim:
-    def _clip(self, n):
-        return ds.WavClip(samples=np.linspace(-0.5, 0.5, n), sample_rate=16000,
-                          label=0, speaker_id="s", source_path="up/s_nohash_0.wav")
+    def _samples(self, n):
+        return np.linspace(-0.5, 0.5, n)
 
     def test_exact_length_identity(self):
-        clip = self._clip(16000)
-        assert ds.pad_or_trim(clip) is clip
+        samples = self._samples(16000)
+        assert ds.pad_or_trim(samples) is samples
 
     def test_short_clip_zero_padded_right(self):
-        clip = ds.pad_or_trim(self._clip(12000))
-        assert clip.samples.size == 16000
-        np.testing.assert_array_equal(clip.samples[:12000], self._clip(12000).samples)
-        assert np.all(clip.samples[12000:] == 0)
+        out = ds.pad_or_trim(self._samples(12000))
+        assert out.shape == (16000,)
+        np.testing.assert_array_equal(out[:12000], self._samples(12000))
+        assert np.all(out[12000:] == 0)
 
     def test_long_clip_tail_dropped(self):
-        clip = ds.pad_or_trim(self._clip(17000))
-        assert clip.samples.size == 16000
-        np.testing.assert_array_equal(clip.samples, self._clip(17000).samples[:16000])
-
-    def test_empty_clip_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            ds.pad_or_trim(self._clip(0))
+        samples = self._samples(17000)
+        out = ds.pad_or_trim(samples)
+        assert out.shape == (16000,)
+        np.testing.assert_array_equal(out, samples[:16000])
+        assert not np.shares_memory(out, samples)
 
 
 class TestBuildManifest:
@@ -110,6 +105,10 @@ class TestBuildManifest:
         manifest = ds.build_manifest(tiny_corpus)
         assert len(manifest.entries) == 12
         assert all(e.split == "train" for e in manifest.entries)
+        # label and speaker come from <word>/<speaker>_nohash_<n>.wav
+        first = manifest.entries[0]
+        assert (first.path, first.label, first.speaker_id) == \
+            ("no/aa_nohash_0.wav", ds.KEYWORDS.index("no"), "aa")
 
     def test_split_tagging(self, tiny_corpus):
         (tiny_corpus / "validation_list.txt").write_text("yes/aa_nohash_0.wav\n")
@@ -332,9 +331,8 @@ class TestSynthDataset:
         m2 = ds.synth_dataset(tmp_path / "b", n_per_class=5, noise_level=0.2, seed=42)
         assert [e.path for e in m1.entries] == [e.path for e in m2.entries]
         for e in m1.entries[:5]:
-            a = ds.load_wav(e.path, root=m1.root)
-            b = ds.load_wav(e.path, root=m2.root)
-            np.testing.assert_array_equal(a.samples, b.samples)
+            np.testing.assert_array_equal(ds.load_wav(e.path, root=m1.root),
+                                          ds.load_wav(e.path, root=m2.root))
 
     def test_different_seeds_differ(self, tmp_path):
         m1 = ds.synth_dataset(tmp_path / "a", n_per_class=5, noise_level=0.2, seed=1)
@@ -342,13 +340,13 @@ class TestSynthDataset:
         assert [e.path for e in m1.entries] == [e.path for e in m2.entries]
         a = ds.load_wav(m1.entries[0].path, root=m1.root)
         b = ds.load_wav(m2.entries[0].path, root=m2.root)
-        assert not np.array_equal(a.samples, b.samples)
+        assert not np.array_equal(a, b)
 
     def test_clips_are_loadable_one_second(self, tmp_path):
         manifest = ds.synth_dataset(tmp_path, n_per_class=5, noise_level=0.3, seed=3)
-        clip = ds.load_wav(manifest.entries[0].path, root=manifest.root)
-        assert clip.samples.size == 16000
-        assert np.abs(clip.samples).max() <= 1.0
+        samples = ds.load_wav(manifest.entries[0].path, root=manifest.root)
+        assert samples.size == 16000
+        assert np.abs(samples).max() <= 1.0
 
     def test_speaker_per_five_clips(self, tmp_path):
         manifest = ds.synth_dataset(tmp_path, n_per_class=10, noise_level=0.0, seed=4)

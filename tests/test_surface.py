@@ -12,7 +12,7 @@ import pkgutil
 
 import cosmix
 
-EXPECTED = 103
+EXPECTED = 96
 
 
 def _defaulted(prefix, fn):

@@ -1,8 +1,10 @@
 import dataclasses
 import gc
 import json
+import shutil
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,7 +357,7 @@ class TestEvaluate:
         monkeypatch.setattr(ad, "POOL_WORKERS", 1)
         store = tr.ClipStore(small_corpus)
         entries = small_corpus.split_entries("test")[:tr.EVAL_BATCH]
-        expected = np.stack([ft.log_fbank(store.wave(e)).values.astype(np.float32)
+        expected = np.stack([ft.log_fbank_batch(store.wave(e)[None])[0].astype(np.float32)
                              for e in entries])
         chunk = store.eval_features(entries)
         assert chunk.shape == (len(entries), 98, 64) and chunk.dtype == np.float32
@@ -364,7 +366,7 @@ class TestEvaluate:
         more = small_corpus.split_entries("test")[tr.EVAL_BATCH - 2:tr.EVAL_BATCH + 2][::-1]
         assert len(more) == 4
         assert np.array_equal(store.eval_features(more), [
-            ft.log_fbank(store.wave(e)).values.astype(np.float32) for e in more])
+            ft.log_fbank_batch(store.wave(e)[None])[0].astype(np.float32) for e in more])
 
 
 class TestExportEmbeddings:
@@ -451,6 +453,22 @@ class TestTrainLoop:
         assert len(refs) > len(TINY_MODEL.channels)
         assert alive_at_step_start == [0] * len(alive_at_step_start)
         assert alive_at_end == 0
+
+    def test_labels_come_from_the_manifest_alone(self, small_corpus, tmp_path):
+        # every clip copied to clips/<k>.wav, outside the <word>/<speaker>
+        # layout: only the manifest's label column names its keyword
+        (tmp_path / "clips").mkdir()
+        rows = []
+        for k, e in enumerate(small_corpus.entries):
+            rel = f"clips/{k}.wav"
+            shutil.copyfile(Path(small_corpus.root) / e.path, tmp_path / rel)
+            rows.append(f"{rel}\t{e.label}\t{e.speaker_id}\t{e.split}")
+        (tmp_path / "flat.tsv").write_text("\n".join(rows) + "\n")
+        flat = ds.read_manifest(tmp_path / "flat.tsv", tmp_path)
+        cfg = dataclasses.replace(FAST, epochs=1)
+        runs = [tr.train(cfg, m, mode="cosmix", model_cfg=TINY_MODEL, clock=lambda: 0.0)
+                for m in (small_corpus, flat)]
+        assert runs[0].history == runs[1].history
 
     def test_invalid_mode_rejected(self, small_corpus):
         with pytest.raises(ValueError, match="mode"):
