@@ -14,6 +14,38 @@ import os as _os
 # when numpy has not been imported yet.
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+
+def _keep_freed_memory():
+    """Have glibc's malloc keep the memory a training step frees, unless the
+    caller set a malloc tunable (``GLIBC_TUNABLES`` or a ``MALLOC_*``
+    variable) or the C library is not glibc.
+
+    A step allocates and frees the same large scratch every batch (im2col
+    columns, conv outputs, masked gradients). By default glibc maps each
+    array above its threshold afresh and unmaps it on free, and trims the
+    heap top, so every step faults the same pages in again. A fixed 32 MiB
+    mmap threshold, glibc's largest, and a 1 GiB trim threshold leave that
+    memory on the heap for the next step to reuse; the process keeps its
+    peak resident size instead of shrinking between steps."""
+    env = _os.environ
+    if "glibc.malloc." in env.get("GLIBC_TUNABLES", "") or \
+            any(name.startswith("MALLOC_") for name in env):
+        return
+    try:
+        if not _os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    import ctypes
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
+
 from .augment import AugmentConfig, BetaParams, mixup_waveforms, sample_beta, \
     spec_augment, time_shift, time_stretch
 from .autodiff import ParameterSet, Tape, Tensor, backward, \

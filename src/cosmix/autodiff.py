@@ -12,26 +12,28 @@ while a ``Tape`` context is active, so plain calls are inference.
 Row blocks. ``conv2d`` does its per-row work in blocks of ``BLOCK_CLIPS``
 clips (the last block takes the remainder), shared between the calling
 thread and one pool worker that starts on the first call. Per block: the
-padding, the im2col copy, the forward GEMM and the bias add, and in
-backward the mask, the input-gradient GEMM and col2im. Every output row
-depends on its own input rows only, so blocks give the same bits as one
-whole-batch call, as long as each block's GEMM is large enough for BLAS
-to use the kernels it uses for the whole product (``MIN_MADDS``). A call
-runs as one block on the caller when ``POOL_WORKERS`` is 0 (one CPU is
-ours), when the batch holds fewer than two blocks, or when a block would
-be smaller than that.
-Whole: the finiteness check, on the full pre-activation, then the relu,
-and the two products that reduce over rows, the bias sum and the weight
-GEMM. The weight GEMM may be split in two along an output axis, which
-leaves each element's sum over rows whole. The bias sum runs whole over a
-channels-first copy, in the order it always had: a row-wise sum rounds
-differently, and training results follow those roundings. Workers run
-numpy into preallocated slices only: they create no ``Tensor``, call
-neither ``_sabotage`` nor ``_check_finite``, and reach no module attribute
-that bench/tracing.py patches, so neither the tracer nor the thread-local
-recording stack sees them. The caller waits for the worker's blocks
-before it returns or re-raises, and a worker's exception is raised in the
-caller.
+padding, the im2col copy, the forward GEMM, the bias add, the finiteness
+check and the relu, and in backward the mask, each clip's bias-gradient
+partial, the input-gradient GEMM and col2im. Every output row depends on
+its own input rows only, so blocks give the same bits as one whole-batch
+call, as long as each block's GEMM is large enough for BLAS to use the
+kernels it uses for the whole product (``MIN_MADDS``). A call runs as one
+block on the caller when ``POOL_WORKERS`` is 0 (one CPU is ours), when
+the batch holds fewer than two blocks, or when a block would be smaller
+than that.
+Whole: the weight GEMM and the final sum of the per-clip bias partials,
+which reduce over rows. The weight GEMM may be split in two along an
+output axis, which leaves each element's sum over rows whole. Each bias
+partial sums one clip's channels-first map, so adding the partials clip
+by clip keeps the order of one sum over the whole channels-first map: a
+row-wise sum rounds differently, and training results follow those
+roundings. Workers run numpy into preallocated slices only: they create
+no ``Tensor``, call neither ``_sabotage`` nor ``_check_finite``, and reach
+no module attribute that bench/tracing.py patches, so neither the tracer
+nor the thread-local recording stack sees them. A block that sees a
+non-finite pre-activation only notes it; the caller raises once every
+block is done. The caller waits for the worker's blocks before it
+returns or re-raises, and a worker's exception is raised in the caller.
 
 ``_share`` has a second user: ``features.log_fbank_batch`` hands its rows
 to the same worker in spans of a few rows, under the same rules. There
@@ -378,21 +380,24 @@ def conv2d(x, k, b, stride=1, padding=0):
     into its own [n, Hp, Wp, C] buffer, whose strided window view is
     copied into the block's rows of the [B*Ho*Wo, kh*kw*C] ``cols``
     matrix; ``cols @ kmat.T`` for those rows goes into the block's rows
-    of the [B*Ho*Wo, O] output, and the bias is added there. The
-    finiteness check then runs on the whole pre-activation, before the
-    relu, so a non-finite value raises even where the relu would clamp
-    it.
+    of the [B*Ho*Wo, O] output, and the bias is added there. The block
+    then checks its pre-activation for finiteness, before the relu it
+    applies in place, so a non-finite value raises (``NumericError``,
+    once all blocks are done) even where the relu would clamp it.
 
     In backward, ``g2`` is the output gradient masked by ``out > 0``, as
-    [B*Ho*Wo, O]. Per row block: the mask, a channels-first copy of
-    ``g2``, the input gradient ``g2 @ kmat`` and its scatter back by one
-    strided add per kernel offset (col2im). Whole: the bias gradient,
-    summed over the channels-first copy, and the weight gradient
-    ``g2.T @ cols``, which reduce over rows. When each half is large, the
-    weight GEMM runs as two halves on the pool, split along whichever of
-    its output axes halves the larger operand; each element still sums
-    over all rows at once. The vjp closure keeps ``cols``, ``kmat`` and
-    the output. Blocks and halves are described in the module docstring.
+    [B*Ho*Wo, O]. Per row block: the mask; each clip's bias-gradient
+    partial, the sum of a channels-first copy of its ``g2`` rows, into
+    a [B, O] array; and the input gradient ``g2 @ kmat``, scattered into
+    the block's zeroed slice of the unpadded input gradient by one
+    strided add per kernel offset (col2im), each offset clipped to the
+    taps that land inside the input. Whole: the sum of the bias partials
+    over clips, and the weight gradient ``g2.T @ cols``, which reduces
+    over rows. When each half is large, the weight GEMM runs as two
+    halves on the pool, split along whichever of its output axes halves
+    the larger operand; each element still sums over all rows at once.
+    The vjp closure keeps ``cols``, ``kmat`` and the output. Blocks and
+    halves are described in the module docstring.
     """
     x, k, b = as_tensor(x), as_tensor(k), as_tensor(b)
     _want_rank(x, 4, "conv2d", "x")
@@ -416,18 +421,24 @@ def conv2d(x, k, b, stride=1, padding=0):
     cols = np.empty((bsz * rows, width), dtype=xv.dtype)
     out = np.empty((bsz * rows, cout), dtype=np.result_type(cols, kmat))
 
+    nonfinite = []  # blocks whose pre-activation holds a nan or an inf
+
     def forward_block(lo, hi):
         xp = np.zeros((hi - lo, hp, wp, cin), dtype=xv.dtype)
         xp[:, padding:padding + h, padding:padding + w] = xv[lo:hi]
         windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
         cols[lo * rows:hi * rows].reshape(hi - lo, ho, wo, kh, kw, cin)[...] = \
             windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
-        np.matmul(cols[lo * rows:hi * rows], kmat.T, out=out[lo * rows:hi * rows])
-        out[lo * rows:hi * rows] += bv
+        out_blk = out[lo * rows:hi * rows]
+        np.matmul(cols[lo * rows:hi * rows], kmat.T, out=out_blk)
+        out_blk += bv
+        if not np.isfinite(out_blk).all():
+            nonfinite.append((lo, hi))
+        np.maximum(out_blk, 0, out=out_blk)
 
     _in_blocks(forward_block, bsz, rows * width * cout)
-    _check_finite("conv2d", out)
-    np.maximum(out, 0, out=out)
+    if nonfinite:
+        raise NumericError("non-finite forward values in op 'conv2d'")
     out = out.reshape(bsz, ho, wo, cout)
 
     def vjp(g):
@@ -435,30 +446,33 @@ def conv2d(x, k, b, stride=1, padding=0):
         g2 = np.empty((bsz * rows, cout), dtype=g.dtype)
         want_b, want_x = _wants_grad(b), _wants_grad(x)
         if want_b:
-            g_cf = np.empty((bsz, cout, ho, wo), dtype=g.dtype)
+            b_parts = np.empty((bsz, cout), dtype=g.dtype)
         if want_x:
-            dxp = np.zeros((bsz, hp, wp, cin), dtype=np.result_type(g2, kmat))
+            dx = np.empty((bsz, h, w, cin), dtype=np.result_type(g2, kmat))
+            # per kernel row i (column j): the output rows whose tap lands
+            # inside the unpadded input, and the input rows it lands on
+            taps_h = [_tap_span(i, ho, h, stride, padding) for i in range(kh)]
+            taps_w = [_tap_span(j, wo, w, stride, padding) for j in range(kw)]
 
         def backward_block(lo, hi):
             g2_blk = g2[lo * rows:hi * rows]
             g4_blk = g2_blk.reshape(hi - lo, ho, wo, cout)
             np.multiply(g[lo:hi], out[lo:hi] > 0, out=g4_blk)
             if want_b:
-                g_cf[lo:hi] = g4_blk.transpose(0, 3, 1, 2)
+                # each clip's sum over a channels-first copy: the partials
+                # of the whole [B, O, Ho, Wo] map's sum, in its order
+                g4_blk.transpose(0, 3, 1, 2).copy().sum(axis=(2, 3), out=b_parts[lo:hi])
             if want_x:
                 dcols = (g2_blk @ kmat).reshape(hi - lo, ho, wo, kh, kw, cin)
-                dxp_blk = dxp[lo:hi]
-                for i in range(kh):
-                    for j in range(kw):
-                        dxp_blk[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
-                            dcols[:, :, :, i, j]
+                dx_blk = dx[lo:hi]
+                dx_blk[...] = 0
+                for i, (hlo, hhi, hs) in enumerate(taps_h):
+                    for j, (wlo, whi, ws) in enumerate(taps_w):
+                        dx_blk[:, hs, ws] += dcols[:, hlo:hhi, wlo:whi, i, j]
 
         _in_blocks(backward_block, bsz, rows * width * cout)
         if want_b:
-            # summed whole, in the order of a channels-first [B, O, Ho, Wo]
-            # map: a row-wise sum rounds differently, enough to move
-            # training results
-            _accum(b, g_cf.sum(axis=(0, 2, 3)), owned=True)
+            _accum(b, b_parts.sum(axis=0), owned=True)
         if _wants_grad(k):
             dk = np.empty((cout, width), dtype=np.result_type(g2, cols))
             # each half of the product reads all of one operand and half of
@@ -482,7 +496,7 @@ def conv2d(x, k, b, stride=1, padding=0):
                 weight_part(0, n)
             _accum(k, dk.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), owned=True)
         if want_x:
-            _accum(x, dxp[:, padding:padding + h, padding:padding + w], owned=True)
+            _accum(x, dx, owned=True)
     return _node("conv2d", out, (x, k, b), vjp)
 
 
@@ -563,6 +577,16 @@ def _in_blocks(fn, bsz, clip_madds):
     else:
         bounds = [i * BLOCK_CLIPS for i in range(n)] + [bsz]
         _share(fn, zip(bounds[:-1], bounds[1:]))
+
+
+def _tap_span(i, n_out, n_in, stride, padding):
+    """For kernel offset ``i`` along one axis: the output positions [lo, hi)
+    whose tap lands inside the unpadded input of ``n_in``, and the strided
+    input slice those taps land on."""
+    lo = max(0, -((i - padding) // stride))
+    hi = max(lo, min(n_out, (n_in - 1 + padding - i) // stride + 1))
+    start = lo * stride + i - padding
+    return lo, hi, slice(start, start + (hi - lo) * stride, stride)
 
 
 def channel_bias_add(x, b):

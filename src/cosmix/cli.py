@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import wave as wave_mod
 from pathlib import Path
@@ -150,11 +151,14 @@ def _cell_seed(base_seed, mode, mix_ratio, alpha):
 
 def _sweep_values(flag, text, field, train_cfg):
     """The comma-separated numbers of ``flag``, each checked as ``field`` of
-    ``train_cfg`` so the sweep meets no value its cells cannot run."""
+    ``train_cfg`` and as a ``_cell_seed`` key, so the sweep meets no value
+    its cells cannot run."""
     try:
         values = [float(x) for x in text.split(",")]
         for v in values:
             dataclasses.replace(train_cfg, **{field: v})
+            if not math.isfinite(v * 10_000):
+                raise ValueError(f"{v:g} is too large to key a cell's seed")
     except ValueError as exc:
         raise ConfigError(f"{flag} {text!r}: {exc}") from None
     return values

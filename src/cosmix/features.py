@@ -37,6 +37,15 @@ def hann_periodic(n):
     return 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
 
 
+@functools.cache
+def _window(dtype):
+    """The analysis window cast to ``dtype``; computed once per dtype and
+    shared read-only, like ``mel_filterbank()``."""
+    window = hann_periodic(WIN_LENGTH).astype(dtype)
+    window.flags.writeable = False
+    return window
+
+
 def _wave_stack(waves, dtype):
     """``waves`` as an [N, SAMPLE_RATE] array of ``dtype``; raises on any other shape."""
     waves = np.asarray(waves, dtype=dtype)
@@ -50,7 +59,7 @@ def _power_batch(waves, dtype):
     waves = _wave_stack(waves, dtype)
     # a strided view of the frames: no gather index and no copy before the window
     frames = sliding_window_view(waves, WIN_LENGTH, axis=1)[:, ::HOP_LENGTH]
-    frames = frames * hann_periodic(WIN_LENGTH).astype(dtype)
+    frames = frames * _window(waves.dtype)
     return np.abs(np.fft.rfft(frames, n=N_FFT, axis=2)) ** 2
 
 

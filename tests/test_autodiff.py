@@ -1,3 +1,4 @@
+import contextvars
 import threading
 import time
 
@@ -188,6 +189,64 @@ class TestConv2d:
         for name, a, c in zip(("out", "x", "k", "b"), blocks, whole):
             assert a.dtype == dtype, name
             assert np.array_equal(a, c), name
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "worker", "last"])
+    def test_preactivation_overflow_in_any_block_raises(self, monkeypatch, where, sign):
+        # three blocks: [0, 4), [4, 8) and the remainder [8, 14); one clip's
+        # products overflow to +inf, or to -inf, which the relu would clamp
+        bsz = 3 * BLOCK + 2
+        bad = {"first": 0, "worker": BLOCK + 1, "last": bsz - 1}[where]
+        x, k, b, _ = conv_case(np.random.default_rng(9), bsz, *POOLED_SHAPE, 2, 1,
+                               np.float64)
+        x[bad] = 1e200
+        k = np.full_like(k, sign * 1e200)
+        pooled(monkeypatch)
+        if where == "worker":
+            def bad_block_on_worker(fn, spans):
+                for lo, hi in spans:
+                    if lo <= bad < hi:
+                        ad._executor().submit(contextvars.copy_context().run, fn, lo,
+                                              hi).result()
+                    else:
+                        fn(lo, hi)
+            monkeypatch.setattr(ad, "_share", bad_block_on_worker)
+        spans = spy_share(monkeypatch)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="non-finite forward values in op 'conv2d'"):
+            ad.conv2d(ad.Tensor(x), ad.Tensor(k), ad.Tensor(b), stride=2, padding=1)
+        assert [span for fn, span in spans if fn == "forward_block"] == \
+            [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, bsz)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 0), (1, 1)])
+    @pytest.mark.parametrize("bsz", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_bias_and_input_gradients_match_whole_batch_formulas(self, monkeypatch, bsz,
+                                                                 stride, padding, dtype):
+        case = conv_case(np.random.default_rng(bsz), bsz, *POOLED_SHAPE, stride, padding,
+                         dtype)
+        x, k, _, weights = case
+        pooled(monkeypatch)
+        out, dx, _, db = conv_and_grads(*case, stride=stride, padding=padding)
+        # the upstream gradient of sum(out * weights) is weights
+        g4 = weights * (out > 0)
+        _, ho, wo, cout = g4.shape
+        h, w = x.shape[1:3]
+        _, cin, kh, kw = k.shape
+        # bias: one sum over the whole channels-first [B, O, Ho, Wo] map
+        assert np.array_equal(db, np.ascontiguousarray(g4.transpose(0, 3, 1, 2))
+                              .sum(axis=(0, 2, 3)))
+        # input: every tap added into a zeroed padded map in (i, j) order,
+        # then the padding cropped off
+        dcols = (g4.reshape(-1, cout) @ k.transpose(0, 2, 3, 1).reshape(cout, -1)) \
+            .reshape(bsz, ho, wo, kh, kw, cin)
+        dxp = np.zeros((bsz, h + 2 * padding, w + 2 * padding, cin), dtype=dtype)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
+                    dcols[:, :, :, i, j]
+        assert dx.dtype == db.dtype == dtype
+        assert np.array_equal(dx, dxp[:, padding:padding + h, padding:padding + w])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bsz,hwc,cout", [(33, (98, 64, 1), 32), (17, (13, 8, 64), 128)],

@@ -411,6 +411,7 @@ class TestAblate:
 
     @pytest.mark.parametrize("flag,value", [
         ("--alphas", "inf"), ("--alphas", "nan"), ("--alphas", "0"), ("--alphas", "10,x"),
+        ("--alphas", "1e305"),
         ("--mix-ratios", "nan"), ("--mix-ratios", "inf"), ("--mix-ratios", "1.5"),
         ("--mix-ratios", "")])
     def test_bad_sweep_value_exit_2_before_run_dir(self, corpus, manifest_file,
