@@ -9,18 +9,13 @@ serve no training path; bench/tracing.py still patches them by name, and
 the ``sigmoid_bce_grad`` verify suite audits the first. Ops are taped only
 while a ``Tape`` context is active, so plain calls are inference.
 
-Row blocks. ``conv2d`` does its per-row work in blocks of ``BLOCK_CLIPS``
-clips (the last block takes the remainder), shared between the calling
-thread and one pool worker that starts on the first call. Per block: the
-padding, the im2col copy, the forward GEMM, the bias add, the finiteness
-check and the relu, and in backward the mask, each clip's bias-gradient
-partial, the input-gradient GEMM and col2im. Every output row depends on
-its own input rows only, so blocks give the same bits as one whole-batch
-call, as long as each block's GEMM is large enough for BLAS to use the
-kernels it uses for the whole product (``MIN_MADDS``). A call runs as one
-block on the caller when ``POOL_WORKERS`` is 0 (one CPU is ours), when
-the batch holds fewer than two blocks, or when a block would be smaller
-than that.
+Row blocks. ``conv2d`` does its per-row work in row blocks of
+``BLOCK_CLIPS`` clips (``_in_blocks`` states how spans are cut and when
+they run inline): the padding, the im2col copy, the forward GEMM, the
+bias add, the finiteness check and the relu, and in backward the mask,
+each clip's bias-gradient partial, the input-gradient GEMM and col2im.
+Every output row depends on its own input rows only, so blocks give the
+same bits as one whole-batch call.
 Whole: the weight GEMM and the final sum of the per-clip bias partials,
 which reduce over rows. The weight GEMM may be split in two along an
 output axis, which leaves each element's sum over rows whole. Each bias
@@ -32,12 +27,10 @@ no ``Tensor``, call neither ``_sabotage`` nor ``_check_finite``, and reach
 no module attribute that bench/tracing.py patches, so neither the tracer
 nor the thread-local recording stack sees them. A block that sees a
 non-finite pre-activation only notes it; the caller raises once every
-block is done. The caller waits for the worker's blocks before it
-returns or re-raises, and a worker's exception is raised in the caller.
+block is done.
 
-``_share`` has a second user: ``features.log_fbank_batch`` hands its rows
-to the same worker in spans of a few rows, under the same rules. There
-is one executor and one worker for both.
+``features.log_fbank_batch`` hands its rows to the same worker through
+``_in_blocks``; there is one executor and one worker for both.
 """
 from __future__ import annotations
 
@@ -393,11 +386,9 @@ def conv2d(x, k, b, stride=1, padding=0):
     strided add per kernel offset (col2im), each offset clipped to the
     taps that land inside the input. Whole: the sum of the bias partials
     over clips, and the weight gradient ``g2.T @ cols``, which reduces
-    over rows. When each half is large, the weight GEMM runs as two
-    halves on the pool, split along whichever of its output axes halves
-    the larger operand; each element still sums over all rows at once.
-    The vjp closure keeps ``cols``, ``kmat`` and the output. Blocks and
-    halves are described in the module docstring.
+    over rows, and may run as two halves on the pool. The vjp closure
+    keeps ``cols``, ``kmat`` and the output. Blocks and halves are
+    described in the module docstring.
     """
     x, k, b = as_tensor(x), as_tensor(k), as_tensor(b)
     _want_rank(x, 4, "conv2d", "x")
@@ -436,7 +427,7 @@ def conv2d(x, k, b, stride=1, padding=0):
             nonfinite.append((lo, hi))
         np.maximum(out_blk, 0, out=out_blk)
 
-    _in_blocks(forward_block, bsz, rows * width * cout)
+    _in_blocks(forward_block, bsz, BLOCK_CLIPS, rows * width * cout)
     if nonfinite:
         raise NumericError("non-finite forward values in op 'conv2d'")
     out = out.reshape(bsz, ho, wo, cout)
@@ -470,7 +461,7 @@ def conv2d(x, k, b, stride=1, padding=0):
                     for j, (wlo, whi, ws) in enumerate(taps_w):
                         dx_blk[:, hs, ws] += dcols[:, hlo:hhi, wlo:whi, i, j]
 
-        _in_blocks(backward_block, bsz, rows * width * cout)
+        _in_blocks(backward_block, bsz, BLOCK_CLIPS, rows * width * cout)
         if want_b:
             _accum(b, b_parts.sum(axis=0), owned=True)
         if _wants_grad(k):
@@ -488,12 +479,9 @@ def conv2d(x, k, b, stride=1, padding=0):
                     np.matmul(g2.T, cols[:, lo:hi], out=dk[:, lo:hi])
 
             # a half one row or column wide goes to numpy's gemv, which sums
-            # in another order than the whole product does
-            if POOL_WORKERS and other >= 2 and n >= 4 and \
-                    bsz * rows * other * (n // 2) >= MIN_MADDS:
-                _share(weight_part, ((0, n // 2), (n // 2, n)))
-            else:
-                weight_part(0, n)
+            # in another order than the whole product does: keep it whole
+            _in_blocks(weight_part, n, n // 2 if other >= 2 and n >= 4 else n,
+                       bsz * rows * other)
             _accum(k, dk.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), owned=True)
         if want_x:
             _accum(x, dx, owned=True)
@@ -508,30 +496,21 @@ def conv2d(x, k, b, stride=1, padding=0):
 # call four blocks, so a thread whose CPU the hypervisor stalls holds up
 # one small block while the other thread takes the rest.
 BLOCK_CLIPS = 8
-# multiply-adds in each row block's GEMM and in each half of a split weight
-# GEMM, at least. A smaller product can take OpenBLAS's small-matrix
-# kernels, which sum in another order than the kernels of the whole
-# product; in a sweep of conv shapes with OpenBLAS 0.3.31 on Sapphire
-# Rapids, at 1 and 2 BLAS threads, every block or half that differed from
-# the whole product had under 2**20.
+# multiply-adds in each span of a GEMM split by _in_blocks, at least. A
+# smaller product can take OpenBLAS's small-matrix kernels, which sum in
+# another order than the kernels of the whole product; in a sweep of conv
+# shapes with OpenBLAS 0.3.31 on Sapphire Rapids, at 1 and 2 BLAS threads,
+# every block or half that differed from the whole product had under 2**20.
 MIN_MADDS = 1 << 21
 # pool workers besides the calling thread: one where a second CPU is ours
 POOL_WORKERS = min(2, len(os.sched_getaffinity(0))) - 1
 
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor():
-    """The single pool worker, started on first use and then kept idle
-    between calls: handing it a task costs less than starting and joining
-    a thread (about 110 against 180 microseconds on a two-vCPU VM), and a
-    step makes a dozen conv calls. concurrent.futures joins it at interpreter exit."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cosmix-pool")
-        return _pool
+# The single pool worker. Its thread starts on the first submit and then
+# stays idle between calls: handing it a task costs less than starting and
+# joining a thread (about 110 against 180 microseconds on a two-vCPU VM),
+# and a step makes a dozen conv calls. concurrent.futures joins it at
+# interpreter exit.
+_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cosmix-pool")
 
 
 def _share(fn, spans):
@@ -558,7 +537,7 @@ def _share(fn, spans):
                 failed = True
                 raise
 
-    future = _executor().submit(contextvars.copy_context().run, take_all)
+    future = _pool.submit(contextvars.copy_context().run, take_all)
     try:
         take_all()
     finally:
@@ -566,16 +545,22 @@ def _share(fn, spans):
     future.result()
 
 
-def _in_blocks(fn, bsz, clip_madds):
-    """Call ``fn(lo, hi)`` over clips [0, bsz) in blocks of ``BLOCK_CLIPS``
-    clips, the last block taking the remainder, or once over all clips
-    when there is one block or a block's GEMM, at ``clip_madds``
-    multiply-adds per clip, would be under ``MIN_MADDS``."""
-    n = bsz // BLOCK_CLIPS
-    if POOL_WORKERS == 0 or n < 2 or BLOCK_CLIPS * clip_madds < MIN_MADDS:
-        fn(0, bsz)
+def _in_blocks(fn, n, size, item_madds=None):
+    """Call ``fn(lo, hi)`` over items [0, n) in ``n // size`` spans of
+    ``size`` items, the last span taking the remainder, shared between the
+    calling thread and the pool worker (``_share``); or call ``fn(0, n)``
+    once, inline, when ``POOL_WORKERS`` is 0 (one CPU is ours), when there
+    are fewer than two spans, or when a span's GEMM, at ``item_madds``
+    multiply-adds per item, would be under ``MIN_MADDS``.
+
+    Every caller writes each output element from one span only, so spans
+    give the bits of one whole call, as long as each span's GEMM is large
+    enough for BLAS to use the kernels it uses for the whole product."""
+    if POOL_WORKERS == 0 or n < 2 * size or \
+            (item_madds is not None and size * item_madds < MIN_MADDS):
+        fn(0, n)
     else:
-        bounds = [i * BLOCK_CLIPS for i in range(n)] + [bsz]
+        bounds = [i * size for i in range(n // size)] + [n]
         _share(fn, zip(bounds[:-1], bounds[1:]))
 
 

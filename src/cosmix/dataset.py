@@ -72,7 +72,7 @@ def load_wav(path, root=None):
     """Read a 16-bit mono 16 kHz PCM WAV into float64 samples in [-1, 1).
 
     Unsupported parameter combinations are rejected, never resampled, and
-    so is a clip without samples.
+    so is a clip without samples or with fewer than its header declares.
     """
     path = Path(path)
     full = Path(root) / path if root is not None else path
@@ -82,7 +82,8 @@ def load_wav(path, root=None):
             sampwidth = fh.getsampwidth()
             rate = fh.getframerate()
             comp = fh.getcomptype()
-            raw = fh.readframes(fh.getnframes())
+            n_frames = fh.getnframes()
+            raw = fh.readframes(n_frames)
     except FileNotFoundError:
         raise
     except (wave_mod.Error, EOFError) as exc:
@@ -95,6 +96,9 @@ def load_wav(path, root=None):
         raise UnsupportedFormatError(f"{full}: expected 16-bit PCM, got {8 * sampwidth}-bit")
     if rate != SAMPLE_RATE:
         raise UnsupportedFormatError(f"{full}: expected {SAMPLE_RATE} Hz, got {rate}")
+    if len(raw) < 2 * n_frames:
+        raise FormatError(f"{full}: truncated data chunk, {len(raw)} of "
+                          f"{2 * n_frames} bytes")
     if not raw:
         raise FormatError(f"{full}: empty clip")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
@@ -125,9 +129,18 @@ def pad_or_trim(samples):
     return out
 
 
+def _read_text(path, error):
+    """The UTF-8 text of ``path``; a file that is not UTF-8 raises ``error``
+    naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_list(path):
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _read_text(path, ManifestError).splitlines():
         line = line.strip()
         if line:
             out.append(line.replace("\\", "/"))
@@ -238,7 +251,7 @@ def write_manifest(path, manifest):
 
 def read_manifest(path, root):
     entries = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for i, line in enumerate(_read_text(path, ManifestError).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")

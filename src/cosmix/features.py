@@ -113,14 +113,12 @@ def log_fbank_batch(waves, dtype=np.float64):
     132 ms as one batch). Row n equals a one-row call on ``waves[n]``
     exactly.
 
-    Row spans. The rows go out in spans of ``SPAN_ROWS`` rows, shared
-    between the calling thread and the pool worker of conv2d's row
-    blocks (``autodiff._share``). Within a span each row is still
-    computed alone and written to its own row of the output, so the
-    result is bit-identical at any span size and on either thread. The
-    worker calls only ``_power_batch`` and numpy. A call runs inline
-    when ``autodiff.POOL_WORKERS`` is 0 or the rows make fewer than two
-    spans, so a one-row call never touches the pool.
+    The rows go out in spans of ``SPAN_ROWS`` rows through
+    ``autodiff._in_blocks``, on the calling thread and conv2d's pool
+    worker. Within a span each row is still computed alone and written to
+    its own row of the output, so the result is bit-identical at any span
+    size and on either thread. The worker calls only ``_power_batch`` and
+    numpy.
     """
     waves = _wave_stack(waves, dtype)
     fbank_t = mel_filterbank().T.astype(dtype, copy=False)
@@ -133,10 +131,6 @@ def log_fbank_batch(waves, dtype=np.float64):
             energies = _power_batch(waves[row:row + 1], dtype)[0] @ fbank_t
             out[row] = np.log(np.maximum(energies, floor))
 
-    if ad.POOL_WORKERS and n > SPAN_ROWS:
-        ad._share(featurize_span, ((lo, min(lo + SPAN_ROWS, n))
-                                   for lo in range(0, n, SPAN_ROWS)))
-    else:
-        featurize_span(0, n)
+    ad._in_blocks(featurize_span, n, SPAN_ROWS)
     return out
 

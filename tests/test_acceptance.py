@@ -147,6 +147,7 @@ def test_criterion_5_mode_nesting(tiny_corpus):
 @pytest.mark.slow
 def test_criterion_6_desk_scale_ordering(desk_corpus):
     t0 = time.monotonic()
+    store = tr.ClipStore(desk_corpus)  # every training and evaluation reads the same clips
     means = {}
     per_mode = {}
     for mode in ("baseline", "mixup", "cosmix"):
@@ -154,13 +155,18 @@ def test_criterion_6_desk_scale_ordering(desk_corpus):
         for seed in ACCEPT_SEEDS:
             cfg = tr.TrainConfig(epochs=ACCEPT_EPOCHS, seed=seed, **ACCEPT_CFG)
             mcfg = md.ModelConfig(init_seed=seed)
-            result = tr.train(cfg, desk_corpus, mode=mode, model_cfg=mcfg)
+            result = tr.train(cfg, desk_corpus, mode=mode, model_cfg=mcfg, store=store)
             params = tr.params_from_values(mcfg, result.best_values)
-            acc, _ = tr.evaluate(tr.ClipStore(desk_corpus), "test", params)
+            acc, _ = tr.evaluate(store, "test", params)
             accs.append(acc)
         per_mode[mode] = accs
         means[mode] = float(np.mean(accs))
     elapsed = time.monotonic() - t0
+    # the same seed trains every mode from the same initial weights
+    for other in ("mixup", "baseline"):
+        diffs = [c - o for c, o in zip(per_mode["cosmix"], per_mode[other])]
+        print(f"\ncriterion 6 paired cosmix - {other} per seed: "
+              f"{', '.join(f'{d:+.3f}' for d in diffs)}; mean {np.mean(diffs):+.3f}")
     ok = (means["cosmix"] >= means["mixup"] and
           means["cosmix"] >= means["baseline"] and
           means["cosmix"] >= 0.90 and elapsed < 900)

@@ -206,8 +206,8 @@ class TestConv2d:
             def bad_block_on_worker(fn, spans):
                 for lo, hi in spans:
                     if lo <= bad < hi:
-                        ad._executor().submit(contextvars.copy_context().run, fn, lo,
-                                              hi).result()
+                        ad._pool.submit(contextvars.copy_context().run, fn, lo,
+                                        hi).result()
                     else:
                         fn(lo, hi)
             monkeypatch.setattr(ad, "_share", bad_block_on_worker)
@@ -262,6 +262,23 @@ class TestConv2d:
         halves = conv_and_grads(*case)
         assert len([span for fn, span in spans if fn == "weight_part"]) == 2
         for name, a, c in zip(("out", "x", "k", "b"), halves, whole):
+            assert np.array_equal(a, c), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_gradient_one_output_channel_stays_whole(self, monkeypatch, dtype):
+        # one output channel makes the weight product one row wide: its
+        # halves would go to numpy's gemv, so the product stays whole
+        bsz, hwc = 64, (16, 8, 64)
+        case = conv_case(np.random.default_rng(10), bsz, hwc, 1, 1, 1, dtype)
+        rows, width = 16 * 8, 9 * 64
+        assert bsz * rows * (width // 2) >= ad.MIN_MADDS  # large enough to halve
+        pooled(monkeypatch, workers=0)
+        whole = conv_and_grads(*case, stride=1, padding=1)
+        pooled(monkeypatch)
+        spans = spy_share(monkeypatch)
+        kept = conv_and_grads(*case, stride=1, padding=1)
+        assert "weight_part" not in [fn for fn, _ in spans]
+        for name, a, c in zip(("out", "x", "k", "b"), kept, whole):
             assert np.array_equal(a, c), name
 
     def test_worker_error_surfaces_in_caller(self, monkeypatch):

@@ -183,6 +183,17 @@ class TestPrepare:
         assert f"{clip}: malformed WAV" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_list_exit_2_names_file(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        manifest = ds.synth_dataset(root, n_per_class=20, noise_level=0.1, seed=5)
+        val_list = root / "validation_list.txt"
+        val_list.write_bytes(b"\xff" + manifest.split_entries("validation")[0].path.encode())
+        out = tmp_path / "manifest.tsv"
+        code = main(["prepare", "--data-root", str(root), "--output", str(out)])
+        assert code == 2
+        assert f"{val_list}: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fraction_one_equals_untrimmed(self, corpus, tmp_path):
         out = tmp_path / "m.tsv"
         assert main(["prepare", "--data-root", str(corpus), "--output", str(out)]) == 0
@@ -295,6 +306,34 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(bad) in err and key in err
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("bad_input", ["config", "manifest"])
+    def test_non_utf8_input_exit_2_names_file_before_run_dir(self, corpus, manifest_file,
+                                                             config_file, tmp_path, capsys,
+                                                             bad_input):
+        source = {"config": config_file, "manifest": manifest_file}[bad_input]
+        bad = tmp_path / source.name
+        bad.write_bytes(b"\xff" + source.read_bytes())
+        inputs = {"config": config_file, "manifest": manifest_file, bad_input: bad}
+        run_dir = tmp_path / "r"
+        code = main(["train", "--config", str(inputs["config"]),
+                     "--manifest", str(inputs["manifest"]), "--data-root", str(corpus),
+                     "--run-dir", str(run_dir)])
+        assert code == 2
+        assert f"{bad}: not UTF-8" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_truncated_clip_exit_2_names_clip(self, config_file, tmp_path, capsys):
+        root = tmp_path / "data"
+        manifest_path = tmp_path / "m.tsv"
+        manifest = ds.synth_dataset(root, n_per_class=20, noise_level=0.1, seed=5)
+        ds.write_manifest(manifest_path, manifest)
+        clip = root / manifest.split_entries("train")[0].path
+        clip.write_bytes(clip.read_bytes()[:-1001])  # the data chunk ends mid-sample
+        code = main(["train", "--config", str(config_file), "--manifest", str(manifest_path),
+                     "--data-root", str(root), "--run-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert f"{clip}: truncated" in capsys.readouterr().err
 
     def test_failed_export_keeps_old_file_and_no_temp(self, corpus, manifest_file,
                                                       config_file, tmp_path, monkeypatch,

@@ -77,6 +77,17 @@ class TestLoadWav:
             ds.load_wav("yes/s_nohash_0.wav", root=tmp_path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("cut", [1, 2, 1001, 20000], ids=["odd", "even", "odd-mid",
+                                                               "even-mid"])
+    def test_truncated_data_chunk_rejected(self, tmp_path, cut):
+        # the header still declares 16000 frames; the data chunk is cut short
+        path = tmp_path / "yes" / "s_nohash_0.wav"
+        ds.write_wav(path, np.zeros(16000))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(FormatError, match="truncated") as info:
+            ds.load_wav("yes/s_nohash_0.wav", root=tmp_path)
+        assert str(path) in str(info.value)
+
 
 class TestPadOrTrim:
     def _samples(self, n):

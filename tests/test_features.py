@@ -179,14 +179,16 @@ class TestRowSpans:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 33, 96])
-    @pytest.mark.parametrize("span_rows", [1, 3])  # 3 leaves a shorter last span
+    @pytest.mark.parametrize("span_rows", [1, 3])  # 3 leaves a longer last span
     def test_pooled_rows_match_inline(self, monkeypatch, span_rows, n, dtype):
         spans = self.pooled(monkeypatch, span_rows)
         waves = np.random.default_rng(n).normal(size=(n, 16000)) * 0.3
         pooled = ft.log_fbank_batch(waves, dtype)
-        # fewer than two spans, a one-row call among them, never reach the pool
-        assert spans == ([(lo, min(lo + span_rows, n)) for lo in range(0, n, span_rows)]
-                         if n > span_rows else [])
+        # the last span takes the remainder; fewer than two spans, a one-row
+        # call among them, never reach the pool
+        last = (n // span_rows - 1) * span_rows
+        assert spans == ([(lo, lo + span_rows) for lo in range(0, last, span_rows)]
+                         + [(last, n)] if n >= 2 * span_rows else [])
         monkeypatch.setattr(ad, "POOL_WORKERS", 0)
         inline = ft.log_fbank_batch(waves, dtype)
         assert pooled.dtype == dtype
