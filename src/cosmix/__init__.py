@@ -10,8 +10,7 @@ import os as _os
 
 # One BLAS thread unless the caller chose otherwise: conv2d already runs
 # its row blocks on both cores (autodiff.POOL_WORKERS), and BLAS threads
-# on top of that contend for the same two CPUs. This only takes effect
-# when numpy has not been imported yet.
+# on top of that contend for the same two CPUs (see _one_blas_thread).
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
@@ -61,6 +60,24 @@ from .trainer import AdamState, ClipStore, EpochMetrics, MixedBatch, TrainConfig
     adam_step, compose_batch, evaluate, export_embeddings, lambda_weight, \
     loss_cos, loss_mix, lr_at_epoch, total_loss, train
 from .verify import run_all as run_verification
+
+
+def _one_blas_thread():
+    """A numpy imported before cosmix read the variable's old value; set its
+    OpenBLAS to one thread too. Process-wide; other BLASes are left alone."""
+    if _os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return
+    import ctypes
+    import numpy
+    core = getattr(numpy, "_core", None) or numpy.core
+    blas = ctypes.CDLL(core._multiarray_umath.__file__)
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads"):
+        if hasattr(blas, name):
+            return getattr(blas, name)(1)
+
+
+_one_blas_thread()
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import math
 import sys
-import wave as wave_mod
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from . import model as md
 from . import runconfig as rc
 from . import trainer as tr
 from .errors import CheckpointError, ConfigError, ContractError, DatasetError, \
-    FormatError, ManifestError, NumericError
+    NumericError
 from .verify import run_all
 
 EXIT_OK = 0
@@ -35,19 +34,8 @@ EXIT_NUMERIC = 3
 USAGE_ERRORS = (ValueError, DatasetError, CheckpointError, ContractError, OSError)
 
 
-def _clip_seconds(path):
-    """Duration from the WAV header alone; the samples are not read."""
-    try:
-        with wave_mod.open(str(path), "rb") as fh:
-            return fh.getnframes() / fh.getframerate()
-    except (wave_mod.Error, EOFError) as exc:
-        raise FormatError(f"{path}: malformed WAV ({exc or 'truncated'})") from None
-
-
 def cmd_prepare(args):
     root = Path(args.data_root)
-    if not root.is_dir():
-        raise ManifestError(f"dataset root {root} is not a directory")
     val_list = root / "validation_list.txt"
     test_list = root / "testing_list.txt"
     manifest = ds.build_manifest(root,
@@ -58,13 +46,13 @@ def cmd_prepare(args):
               file=sys.stderr)
     manifest = ds.trim_by_speaker(manifest, args.fraction, args.seed)
 
-    lines = []
+    # every listed clip goes through the reader training uses, so a clip it
+    # would reject stops here, before the manifest is written
+    n_samples = {e.path: ds.load_wav(e.path, root=root).size for e in manifest.entries}
     for label, word in enumerate(ds.KEYWORDS):
         kept = [e for e in manifest.entries if e.split == "train" and e.label == label]
-        durations = [_clip_seconds(root / e.path) for e in kept]
-        minutes = sum(durations) / 60.0
-        lines.append(f"{word:>8s}: {len(kept):5d} utterances, {minutes:6.2f} min")
-        print(lines[-1])
+        minutes = sum(n_samples[e.path] for e in kept) / ds.SAMPLE_RATE / 60.0
+        print(f"{word:>8s}: {len(kept):5d} utterances, {minutes:6.2f} min")
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     ds.write_manifest(out, manifest)
@@ -83,10 +71,6 @@ def _load_settings(args):
     return settings
 
 
-def _read_manifest(args):
-    return ds.read_manifest(args.manifest, args.data_root)
-
-
 def _prepare_run_dir(run_dir, force):
     run_dir = Path(run_dir)
     if run_dir.exists() and any(run_dir.iterdir()) and not force:
@@ -97,7 +81,7 @@ def _prepare_run_dir(run_dir, force):
 
 def cmd_train(args):
     settings = _load_settings(args)
-    manifest = _read_manifest(args)
+    manifest = ds.read_manifest(args.manifest, args.data_root)
     run_dir = _prepare_run_dir(args.run_dir, args.force)
     ds.atomic_write(run_dir / "config.resolved", rc.format_config(settings).encode("utf-8"))
     metrics_path = run_dir / "metrics.jsonl"
@@ -122,7 +106,7 @@ def _best_params(args):
 
 
 def cmd_eval(args):
-    manifest = _read_manifest(args)
+    manifest = ds.read_manifest(args.manifest, args.data_root)
     params = _best_params(args)
     store = tr.ClipStore(manifest)
     accuracy, confusion = tr.evaluate(store, args.split, params)
@@ -134,7 +118,7 @@ def cmd_eval(args):
 
 
 def cmd_export_embeddings(args):
-    manifest = _read_manifest(args)
+    manifest = ds.read_manifest(args.manifest, args.data_root)
     params = _best_params(args)
     store = tr.ClipStore(manifest)
     out = Path(args.run_dir) / f"embeddings_{args.split}.csv"
@@ -166,7 +150,7 @@ def _sweep_values(flag, text, field, train_cfg):
 
 def cmd_ablate(args):
     settings = _load_settings(args)
-    manifest = _read_manifest(args)
+    manifest = ds.read_manifest(args.manifest, args.data_root)
     ratios = _sweep_values("--mix-ratios", args.mix_ratios, "mix_ratio", settings.train)
     alphas = _sweep_values("--alphas", args.alphas, "alpha", settings.train)
     modes = [m.strip() for m in args.modes.split(",")]

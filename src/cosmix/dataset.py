@@ -84,8 +84,6 @@ def load_wav(path, root=None):
             comp = fh.getcomptype()
             n_frames = fh.getnframes()
             raw = fh.readframes(n_frames)
-    except FileNotFoundError:
-        raise
     except (wave_mod.Error, EOFError) as exc:
         raise FormatError(f"{full}: malformed WAV ({exc or 'truncated'})") from None
     if comp != "NONE":
@@ -104,8 +102,8 @@ def load_wav(path, root=None):
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
-def write_wav(path, samples, sample_rate=SAMPLE_RATE):
-    """Write float samples in [-1, 1] as 16-bit mono PCM."""
+def write_wav(path, samples):
+    """Write float samples in [-1, 1] as 16-bit mono 16 kHz PCM."""
     samples = np.asarray(samples, dtype=np.float64)
     ints = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
     path = Path(path)
@@ -113,7 +111,7 @@ def write_wav(path, samples, sample_rate=SAMPLE_RATE):
     with wave_mod.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
-        fh.setframerate(sample_rate)
+        fh.setframerate(SAMPLE_RATE)
         fh.writeframes(ints.tobytes())
 
 

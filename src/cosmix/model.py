@@ -11,6 +11,7 @@ relu-clipped.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -198,7 +199,7 @@ def load_checkpoint(path):
         name = r.string()
         rank = r.u32()
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        count = int(np.prod(shape)) if rank else 1
+        count = math.prod(shape)
         values = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
         parameters[name] = values.astype(np.float32)
     if r.off != len(data):

@@ -102,8 +102,6 @@ def _format_section(prefix, cfg):
         v = getattr(cfg, f.name)
         if isinstance(v, tuple):
             v = ",".join(str(x) for x in v)
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
         out.append(f"{prefix}{f.name} = {v}\n")
     return "".join(out)
 

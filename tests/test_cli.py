@@ -1,4 +1,5 @@
 import json
+import wave as wave_mod
 from pathlib import Path
 
 import numpy as np
@@ -158,12 +159,18 @@ class TestPrepare:
                      "--fraction", "0.5", "--seed", "1"])
         assert code == 0
         printed = capsys.readouterr().out
-        assert "utterances" in printed and "min" in printed
         manifest = ds.read_manifest(out, corpus)
         assert len(manifest.entries) > 0
         expected = tmp_path / "expected.tsv"
         ds.write_manifest(expected, ds.trim_by_speaker(ds.build_manifest(corpus), 0.5, 1))
         assert out.read_bytes() == expected.read_bytes()
+        # minutes are the kept clips' decoded samples, not their headers' claim
+        for label, word in enumerate(ds.KEYWORDS):
+            kept = [e for e in manifest.entries if e.split == "train" and e.label == label]
+            samples = sum(ds.load_wav(e.path, root=corpus).size for e in kept)
+            line = f"{word:>8s}: {len(kept):5d} utterances, " \
+                   f"{samples / ds.SAMPLE_RATE / 60:6.2f} min"
+            assert line in printed.splitlines()
 
     def test_invalid_root_exit_2_no_partial_file(self, tmp_path):
         out = tmp_path / "manifest.tsv"
@@ -181,6 +188,36 @@ class TestPrepare:
         code = main(["prepare", "--data-root", str(root), "--output", str(out)])
         assert code == 2
         assert f"{clip}: malformed WAV" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncated_clip_exit_2_names_clip(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        manifest = ds.synth_dataset(root, n_per_class=20, noise_level=0.1, seed=5)
+        clip = root / next(e.path for e in manifest.entries if e.path.startswith("down/"))
+        clip.write_bytes(clip.read_bytes()[:-20000])  # the header still says 16000
+        out = tmp_path / "manifest.tsv"
+        code = main(["prepare", "--data-root", str(root), "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(clip) in err and "truncated" in err
+        assert not out.exists()
+
+    def test_wrong_rate_clip_in_validation_list_exit_2_names_clip(self, tmp_path,
+                                                                   capsys):
+        root = tmp_path / "data"
+        manifest = ds.synth_dataset(root, n_per_class=20, noise_level=0.1, seed=5)
+        rel = manifest.split_entries("validation")[0].path
+        with wave_mod.open(str(root / rel), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(8000)
+            fh.writeframes(b"\x00" * 16000)
+        (root / "validation_list.txt").write_text(rel + "\n")
+        out = tmp_path / "manifest.tsv"
+        code = main(["prepare", "--data-root", str(root), "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(root / rel) in err and "8000" in err
         assert not out.exists()
 
     def test_non_utf8_list_exit_2_names_file(self, tmp_path, capsys):

@@ -44,7 +44,12 @@ class TestLoadWav:
 
     def test_rejects_wrong_rate(self, tmp_path):
         path = tmp_path / "yes" / "s_nohash_0.wav"
-        ds.write_wav(path, np.zeros(8000), sample_rate=8000)
+        path.parent.mkdir(parents=True)
+        with wave_mod.open(str(path), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(8000)
+            fh.writeframes(b"\x00" * 16000)
         with pytest.raises(UnsupportedFormatError, match="8000"):
             ds.load_wav(path)
 

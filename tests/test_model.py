@@ -223,6 +223,20 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError):
                 md.load_checkpoint(path)
 
+    def test_record_size_past_int64_names_path(self, tmp_path):
+        # dims (2^31, 2^31, 4, 1) hold 2^64 values; an int64 product wraps to 0
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, self._ckpt())
+        raw = path.read_bytes()
+        name = b"enc0.w"
+        at = raw.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+        assert struct.unpack("<I", raw[at:at + 4])[0] == 4
+        dims = struct.pack("<4I", 2 ** 31, 2 ** 31, 4, 1)
+        path.write_bytes(raw[:at + 4] + dims + raw[at + 20:])
+        with pytest.raises(CheckpointError, match="truncated checkpoint") as err:
+            md.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(path, self._ckpt())

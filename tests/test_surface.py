@@ -12,7 +12,7 @@ import pkgutil
 
 import cosmix
 
-EXPECTED = 96
+EXPECTED = 95
 
 
 def _defaulted(prefix, fn):
