@@ -67,8 +67,10 @@ class Tensor:
 
     The link to the tape is weak: the tape holds its nodes, so a strong
     link back would make every recorded graph a reference cycle that
-    only the cycle collector frees. The graph is freed as soon as the
-    tape and the tensors computed on it are no longer referenced.
+    only the cycle collector frees. ``backward`` drops each node's vjp
+    closure, and with it the arrays the op saved, as it sweeps; the
+    values and edges go as soon as the tape and the tensors computed on
+    it are no longer referenced.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "_tape", "tape_id",
@@ -387,8 +389,8 @@ def conv2d(x, k, b, stride=1, padding=0):
     taps that land inside the input. Whole: the sum of the bias partials
     over clips, and the weight gradient ``g2.T @ cols``, which reduces
     over rows, and may run as two halves on the pool. The vjp closure
-    keeps ``cols``, ``kmat`` and the output. Blocks and halves are
-    described in the module docstring.
+    keeps ``cols``, ``kmat`` and the output until ``backward`` has run
+    it. Blocks and halves are described in the module docstring.
     """
     x, k, b = as_tensor(x), as_tensor(k), as_tensor(b)
     _want_rank(x, 4, "conv2d", "x")
@@ -697,19 +699,32 @@ def sigmoid_bce_rowwise(logits, target):
 # backward sweep
 
 def backward(loss):
-    """Reverse sweep from a scalar tensor; grads land on tape-tracked leaves."""
+    """Reverse sweep from a scalar tensor; grads land on tape-tracked leaves.
+
+    Each op's vjp closure and gradient are dropped once the vjp has run,
+    so the arrays an op saved for backward are freed as the sweep passes
+    it, while the tape still lives. Values, parents and leaf gradients
+    stay, so a graph can be swept once: a sweep that reaches an op a
+    previous sweep ran raises.
+    """
     if not isinstance(loss, Tensor) or loss.values.shape != ():
         got = getattr(loss, "values", np.asarray(loss)).shape
         raise ContractError(f"backward: loss must be a scalar tensor, got shape {got}")
     if loss.tape is None:
         raise ContractError("backward: loss is not on a live tape")
+    if loss.op != "leaf" and loss._vjp is None:
+        raise ContractError("backward: this loss's graph was already swept")
     loss.grad = np.ones((), dtype=loss.values.dtype)
     for node in reversed(loss.tape.nodes[:loss.tape_id + 1]):
-        if node.grad is None or node._vjp is None:
+        vjp, g = node._vjp, node.grad
+        if g is None or node.op == "leaf":
             continue
-        if not np.all(np.isfinite(node.grad)):
+        if vjp is None:
+            raise ContractError(f"backward: op '{node.op}' was already swept")
+        if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient at op '{node.op}'")
-        node._vjp(node.grad)
+        node._vjp = node.grad = None
+        vjp(g)
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,14 @@ class TrainResult:
 
 
 class ClipStore:
-    """Loads and caches padded waveforms and evaluation features."""
+    """Loads and caches padded waveforms and evaluation features.
+
+    A waveform is cached as float32, 64,000 bytes a clip: each 16-bit
+    sample over 32768 has at most 16 significant bits, so float32 holds
+    ``load_wav``'s float64 values exactly, and every consumer casts back
+    to float64. Cached arrays are read-only, since every later batch
+    shares them.
+    """
 
     def __init__(self, manifest):
         self.manifest = manifest
@@ -142,8 +149,10 @@ class ClipStore:
     def wave(self, entry):
         cached = self._waves.get(entry.path)
         if cached is None:
-            cached = self._waves[entry.path] = pad_or_trim(
-                load_wav(entry.path, root=self.manifest.root))
+            wave = pad_or_trim(load_wav(entry.path, root=self.manifest.root))
+            cached = wave.astype(np.float32)
+            cached.flags.writeable = False
+            self._waves[entry.path] = cached
         return cached
 
     def eval_features(self, entries):
@@ -377,8 +386,8 @@ def evaluate(store, split, params):
 def export_embeddings(store, split, params, path):
     """One CSV record per utterance: label index then the embedding values."""
     entries, emb = _forward_split(store, split, params)
-    lines = [",".join([str(e.label)] + [repr(float(x)) for x in row])
-             for e, row in zip(entries, emb)]
+    lines = [",".join([str(e.label), *map(repr, row)])
+             for e, row in zip(entries, emb.tolist())]
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return len(entries)
 

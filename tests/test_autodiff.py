@@ -1,6 +1,7 @@
 import contextvars
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -579,6 +580,44 @@ class TestBackward:
             ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(weights))))
         for name, t in (("x", xt), ("k", kt), ("b", bt)):
             assert t.grad is handed[id(t)], name
+
+    def test_sweep_frees_each_vjp_while_tape_lives(self):
+        rng = np.random.default_rng(9)
+        x, k, b, weights = conv_case(rng, 3, (7, 6, 3), 4, 2, 1, np.float32)
+        xt, kt, bt = (ad.Tensor(v.copy(), requires_grad=True) for v in (x, k, b))
+        with ad.Tape() as tape:
+            out = ad.conv2d(xt, kt, bt, stride=2, padding=1)
+            freed = weakref.ref(out._vjp)
+            ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(weights))))
+        assert freed() is None and out.grad is None
+        _, gx, gk, gb = conv_and_grads(x, k, b, weights)
+        for got, want in ((xt.grad, gx), (kt.grad, gk), (bt.grad, gb)):
+            assert np.array_equal(got, want)
+        assert tape.dump().splitlines()[3] == "3: conv2d shape=(3, 4, 3, 4) <- [0,1,2]"
+
+    def test_second_sweep_of_one_graph_raises(self):
+        params = ad.ParameterSet()
+        x = params.add("x", np.arange(3.0))
+        with ad.Tape():
+            square = ad.mul(x, x)
+            loss = ad.sum_all(square)
+            ad.backward(loss)
+            first = x.grad.copy()
+            with pytest.raises(ContractError, match="graph was already swept"):
+                ad.backward(loss)
+            # a new loss over a swept op
+            with pytest.raises(ContractError, match="'mul' was already swept"):
+                ad.backward(ad.sum_all(ad.mul(square, square)))
+        assert np.array_equal(x.grad, first)
+
+    def test_leaf_scalar_loss_can_be_swept_again(self):
+        params = ad.ParameterSet()
+        s = params.add("s", 2.0)
+        with ad.Tape():
+            ad.mul(s, s)  # puts the leaf on the tape
+            ad.backward(s)
+            ad.backward(s)
+        assert s.grad == 1.0
 
     def test_non_scalar_loss_rejected(self):
         with ad.Tape():

@@ -328,6 +328,21 @@ class TestComposeBatch:
             tr.compose_batch(store, [0], tr.TrainConfig())
 
 
+class TestClipStore:
+    def test_wave_is_an_exact_float32_copy(self, small_corpus):
+        store = tr.ClipStore(small_corpus)
+        for e in small_corpus.entries[:5]:
+            wave = store.wave(e)
+            assert wave.dtype == np.float32 and wave.nbytes == 64_000
+            assert np.array_equal(wave, ds.pad_or_trim(ds.load_wav(e.path, root=small_corpus.root)))
+            assert store.wave(e) is wave
+
+    def test_cached_wave_is_read_only(self, small_corpus):
+        wave = tr.ClipStore(small_corpus).wave(small_corpus.entries[0])
+        with pytest.raises(ValueError, match="read-only"):
+            wave[0] = 1.0
+
+
 class TestEvaluate:
     def test_confusion_rows_match_class_counts(self, store):
         params = md.init_params(TINY_MODEL)
@@ -356,20 +371,32 @@ class TestEvaluate:
     def test_cold_chunk_matches_per_clip_features(self, small_corpus, monkeypatch):
         monkeypatch.setattr(ad, "POOL_WORKERS", 1)
         store = tr.ClipStore(small_corpus)
+
+        def per_clip(e):
+            # float64 straight from the WAV, no store in between
+            wave = ds.pad_or_trim(ds.load_wav(e.path, root=small_corpus.root))
+            return ft.log_fbank_batch(wave[None])[0].astype(np.float32)
         entries = small_corpus.split_entries("test")[:tr.EVAL_BATCH]
-        expected = np.stack([ft.log_fbank_batch(store.wave(e)[None])[0].astype(np.float32)
-                             for e in entries])
         chunk = store.eval_features(entries)
         assert chunk.shape == (len(entries), 98, 64) and chunk.dtype == np.float32
-        assert np.array_equal(chunk, expected)
+        assert np.array_equal(chunk, [per_clip(e) for e in entries])
         # a chunk that is partly cached, in another order
         more = small_corpus.split_entries("test")[tr.EVAL_BATCH - 2:tr.EVAL_BATCH + 2][::-1]
         assert len(more) == 4
-        assert np.array_equal(store.eval_features(more), [
-            ft.log_fbank_batch(store.wave(e)[None])[0].astype(np.float32) for e in more])
+        assert np.array_equal(store.eval_features(more), [per_clip(e) for e in more])
 
 
 class TestExportEmbeddings:
+    def test_csv_bytes_match_per_value_repr(self, store, tmp_path, monkeypatch):
+        entries = store.manifest.split_entries("test")[:2]
+        emb = np.array([[1e-45, 1 / 3, -0.0, 1e-8], [3.4e38, -2.5, 0.1, 7.0]], dtype=np.float32)
+        monkeypatch.setattr(tr, "_forward_split", lambda *args: (entries, emb))
+        out = tmp_path / "emb.csv"
+        tr.export_embeddings(store, "test", None, out)
+        expected = "".join(",".join([str(e.label)] + [repr(float(x)) for x in row]) + "\n"
+                           for e, row in zip(entries, emb))
+        assert out.read_bytes() == expected.encode("utf-8")
+
     def test_record_shape_and_determinism(self, store, tmp_path):
         params = md.init_params(TINY_MODEL)
         out = tmp_path / "emb.csv"
