@@ -16,8 +16,11 @@ _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 def _keep_freed_memory():
     """Have glibc's malloc keep the memory a training step frees, unless the
-    caller set a malloc tunable (``GLIBC_TUNABLES`` or a ``MALLOC_*``
-    variable) or the C library is not glibc.
+    caller set malloc's mmap or trim threshold (``MALLOC_MMAP_THRESHOLD_``,
+    ``MALLOC_TRIM_THRESHOLD_``, or ``glibc.malloc.mmap_threshold`` or
+    ``glibc.malloc.trim_threshold`` in ``GLIBC_TUNABLES``) or the C library
+    is not glibc. Other malloc settings, such as ``MALLOC_ARENA_MAX``, are
+    kept alongside.
 
     A step allocates and frees the same large scratch every batch (im2col
     columns, conv outputs, masked gradients). By default glibc maps each
@@ -27,8 +30,9 @@ def _keep_freed_memory():
     memory on the heap for the next step to reuse; the process keeps its
     peak resident size instead of shrinking between steps."""
     env = _os.environ
-    if "glibc.malloc." in env.get("GLIBC_TUNABLES", "") or \
-            any(name.startswith("MALLOC_") for name in env):
+    tunables = {item.partition("=")[0] for item in env.get("GLIBC_TUNABLES", "").split(":")}
+    if {"glibc.malloc.mmap_threshold", "glibc.malloc.trim_threshold"} & tunables or \
+            {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"} & env.keys():
         return
     try:
         if not _os.confstr("CS_GNU_LIBC_VERSION"):

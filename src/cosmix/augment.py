@@ -3,6 +3,9 @@
 All functions take an explicit numpy Generator so every draw is
 reproducible; callers derive one generator per (seed, epoch, batch,
 row, view) and never share streams across views.
+
+The waveform stages (shift, stretch) take one path whatever the draw and
+return a new float64 array; a float32 clip is cast as it is copied.
 """
 from __future__ import annotations
 
@@ -67,12 +70,15 @@ class BetaParams:
 
 
 def _gamma_variate(alpha, rng):
-    """Marsaglia-Tsang Gamma(alpha, 1) sampler; boosts by one for alpha < 1."""
+    """Marsaglia-Tsang Gamma(alpha, 1) sampler; boosts by one for alpha < 1.
+    Returns the variate and its natural log, which stays finite where the
+    variate underflows to 0."""
     if alpha < 1.0:
         u = rng.uniform()
         while u == 0.0:
             u = rng.uniform()
-        return _gamma_variate(alpha + 1.0, rng) * u ** (1.0 / alpha)
+        g, log_g = _gamma_variate(alpha + 1.0, rng)
+        return g * u ** (1.0 / alpha), log_g + math.log(u) / alpha
     d = alpha - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     while True:
@@ -82,19 +88,25 @@ def _gamma_variate(alpha, rng):
             continue
         v = v * v * v
         u = rng.uniform()
-        if u < 1.0 - 0.0331 * x ** 4:
-            return d * v
-        if u > 0.0 and math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
+        if u < 1.0 - 0.0331 * x ** 4 or \
+                (u > 0.0 and math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v))):
+            return d * v, math.log(d) + math.log(v)
 
 
 def sample_beta(params, rng):
     """Draw the mixing coefficient from Beta(alpha, alpha) via two gammas."""
     if params.alpha <= 0:
         raise ValueError(f"alpha must be positive, got {params.alpha}")
-    g1 = _gamma_variate(params.alpha, rng)
-    g2 = _gamma_variate(params.alpha, rng)
-    lam = g1 / (g1 + g2)
+    g1, log1 = _gamma_variate(params.alpha, rng)
+    g2, log2 = _gamma_variate(params.alpha, rng)
+    if 0.0 < g1 + g2 < math.inf:
+        lam = g1 / (g1 + g2)
+    else:
+        # both variates underflowed to 0 (alpha far below 1) or their sum
+        # overflowed (alpha near the float maximum): 1 / (1 + g2 / g1) from
+        # the logs. Below alpha ~1e-307 even the logs reach -inf: a tie.
+        d = log2 - log1
+        lam = 0.5 if math.isnan(d) else 1.0 / (1.0 + math.exp(min(d, 709.0)))
     # keep strictly inside (0, 1) so mixed rows always carry both sources
     return min(max(lam, 1e-12), 1.0 - 1e-12)
 
@@ -111,23 +123,20 @@ def mixup_waveforms(x_i, x_j, lam):
 
 
 def shift_samples(wave, s):
-    """Shift content by s samples (positive = right); zero-fill vacated ends.
-    A shift of the whole length or more leaves only zeros."""
-    wave = np.asarray(wave, dtype=np.float64)
-    out = np.zeros_like(wave)
+    """Shift content by s samples (positive = right) into a new float64
+    array; zero-fill vacated ends. A shift of the whole length or more
+    leaves only zeros."""
+    wave = np.asarray(wave)
     n = wave.size
-    if abs(s) >= n:
-        return out
-    if s >= 0:
-        out[s:] = wave[:n - s] if s else wave
-    else:
-        out[:n + s] = wave[-s:]
+    out = np.zeros(n)
+    lo, hi = max(s, 0), n + min(s, 0)
+    if lo < hi:
+        out[lo:hi] = wave[lo - s:hi - s]
     return out
 
 
 def time_shift(wave, rng, cfg=AugmentConfig()):
     """Random shift, uniform over the configured millisecond range."""
-    wave = np.asarray(wave, dtype=np.float64)
     lo = int(round(cfg.shift_ms_low * SAMPLE_RATE / 1000.0))
     hi = int(round(cfg.shift_ms_high * SAMPLE_RATE / 1000.0))
     s = int(rng.integers(lo, hi + 1))
@@ -135,17 +144,15 @@ def time_shift(wave, rng, cfg=AugmentConfig()):
 
 
 def stretch_to_factor(wave, factor):
-    """Resample to length round(n / factor) by linear interpolation, then
-    zero-pad or truncate back to the original length."""
+    """Resample by linear interpolation at positions k * factor (capped at
+    the last sample), keeping the first round(n / factor) samples, at most
+    n, and zero-padding back to the original length n."""
     wave = np.asarray(wave, dtype=np.float64)
     n = wave.size
-    new_len = int(round(n / factor))
-    positions = np.minimum(np.arange(new_len) * factor, n - 1.0)
-    resampled = np.interp(positions, np.arange(n, dtype=np.float64), wave)
-    if new_len >= n:
-        return resampled[:n]
-    out = np.zeros(n, dtype=np.float64)
-    out[:new_len] = resampled
+    kept = int(round(min(n / factor, n)))
+    out = np.zeros(n)
+    out[:kept] = np.interp(np.minimum(np.arange(kept) * factor, n - 1.0),
+                           np.arange(n, dtype=np.float64), wave)
     return out
 
 

@@ -30,7 +30,8 @@ non-finite pre-activation only notes it; the caller raises once every
 block is done.
 
 ``features.log_fbank_batch`` hands its rows to the same worker through
-``_in_blocks``; there is one executor and one worker for both.
+``_in_blocks``, in spans of ``BLOCK_CLIPS`` rows too; there is one
+executor, one worker and one span size for both.
 """
 from __future__ import annotations
 
@@ -493,10 +494,12 @@ def conv2d(x, k, b, stride=1, padding=0):
 # ---------------------------------------------------------------------------
 # row blocks on a two-thread pool
 
-# clips per row block. On a two-vCPU Sapphire Rapids VM, blocks of 8 and
-# 16 timed alike and 32 leaves a 32-clip call one block; 8 gives a 32-clip
-# call four blocks, so a thread whose CPU the hypervisor stalls holds up
-# one small block while the other thread takes the rest.
+# clips per row block, and rows per span of features.log_fbank_batch. On
+# a two-vCPU Sapphire Rapids VM, blocks of 8 and 16 timed alike and 32
+# leaves a 32-clip call one block; 8 gives a 32-clip call four blocks, so
+# a thread whose CPU the hypervisor stalls holds up one small block while
+# the other thread takes the rest. The front end's spans timed alike from
+# 2 to 16 rows.
 BLOCK_CLIPS = 8
 # multiply-adds in each span of a GEMM split by _in_blocks, at least. A
 # smaller product can take OpenBLAS's small-matrix kernels, which sum in

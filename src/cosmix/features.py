@@ -12,9 +12,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
-from .dataset import SAMPLE_RATE
+from .dataset import CLIP_SAMPLES, SAMPLE_RATE
 
-# clips are one second long, so a clip is SAMPLE_RATE samples
 WIN_LENGTH = 400
 HOP_LENGTH = 160
 N_FFT = 512
@@ -22,14 +21,8 @@ N_MELS = 64
 F_MIN = 20.0
 F_MAX = 8000.0
 LOG_FLOOR = 1e-10
-FRAME_COUNT = 1 + (SAMPLE_RATE - WIN_LENGTH) // HOP_LENGTH  # 98
+FRAME_COUNT = 1 + (CLIP_SAMPLES - WIN_LENGTH) // HOP_LENGTH  # 98
 N_BINS = N_FFT // 2 + 1  # 257
-# rows per span handed to the pool. On a two-vCPU Sapphire Rapids VM at
-# one BLAS thread, spans of 2 to 16 rows timed alike (96 float32 rows:
-# 43-45 ms, against 71 ms inline); small spans leave less for a thread
-# to wait on when the hypervisor stalls the other CPU, and a 32-clip
-# evaluation chunk still makes 8 of them.
-SPAN_ROWS = 4
 
 
 def hann_periodic(n):
@@ -47,15 +40,15 @@ def _window(dtype):
 
 
 def _wave_stack(waves, dtype):
-    """``waves`` as an [N, SAMPLE_RATE] array of ``dtype``; raises on any other shape."""
+    """``waves`` as an [N, CLIP_SAMPLES] array of ``dtype``; raises on any other shape."""
     waves = np.asarray(waves, dtype=dtype)
-    if waves.ndim != 2 or waves.shape[1] != SAMPLE_RATE:
-        raise ValueError(f"expected [N, {SAMPLE_RATE}], got {waves.shape}")
+    if waves.ndim != 2 or waves.shape[1] != CLIP_SAMPLES:
+        raise ValueError(f"expected [N, {CLIP_SAMPLES}], got {waves.shape}")
     return waves
 
 
 def _power_batch(waves, dtype):
-    """Power spectrograms [N, FRAME_COUNT, N_BINS] of an [N, SAMPLE_RATE] stack."""
+    """Power spectrograms [N, FRAME_COUNT, N_BINS] of an [N, CLIP_SAMPLES] stack."""
     waves = _wave_stack(waves, dtype)
     # a strided view of the frames: no gather index and no copy before the window
     frames = sliding_window_view(waves, WIN_LENGTH, axis=1)[:, ::HOP_LENGTH]
@@ -113,12 +106,12 @@ def log_fbank_batch(waves, dtype=np.float64):
     132 ms as one batch). Row n equals a one-row call on ``waves[n]``
     exactly.
 
-    The rows go out in spans of ``SPAN_ROWS`` rows through
-    ``autodiff._in_blocks``, on the calling thread and conv2d's pool
-    worker. Within a span each row is still computed alone and written to
-    its own row of the output, so the result is bit-identical at any span
-    size and on either thread. The worker calls only ``_power_batch`` and
-    numpy.
+    The rows go out in spans of ``autodiff.BLOCK_CLIPS`` rows, conv2d's
+    block size, through ``autodiff._in_blocks``, on the calling thread and
+    conv2d's pool worker; a call of fewer than two spans runs inline.
+    Within a span each row is still computed alone and written to its own
+    row of the output, so the result is bit-identical at any span size and
+    on either thread. The worker calls only ``_power_batch`` and numpy.
     """
     waves = _wave_stack(waves, dtype)
     fbank_t = mel_filterbank().T.astype(dtype, copy=False)
@@ -131,6 +124,6 @@ def log_fbank_batch(waves, dtype=np.float64):
             energies = _power_batch(waves[row:row + 1], dtype)[0] @ fbank_t
             out[row] = np.log(np.maximum(energies, floor))
 
-    ad._in_blocks(featurize_span, n, SPAN_ROWS)
+    ad._in_blocks(featurize_span, n, ad.BLOCK_CLIPS)
     return out
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .dataset import atomic_write
+from .dataset import KEYWORDS, atomic_write
 from .errors import CheckpointError, ConfigError, ShapeError
 from .features import FRAME_COUNT, N_MELS
 
-N_CLASSES = 10
+N_CLASSES = len(KEYWORDS)
 PROJ_DIM = 128
 PROJ_HIDDEN = 128
 FEAT_SHAPE = (FRAME_COUNT, N_MELS)

@@ -46,8 +46,16 @@ def third_step(**settings):
 
 
 def test_third_step_reuses_freed_memory():
-    # glibc's defaults re-fault about 10,000 pages (40 MB) in every step
+    # glibc's defaults re-fault about 7,600 pages (31 MB) in every step
     assert third_step()["faults"] < 1000
+
+
+@pytest.mark.parametrize("settings", [
+    {"MALLOC_ARENA_MAX": "2"}, {"GLIBC_TUNABLES": "glibc.malloc.arena_max=2"}],
+    ids=["MALLOC_", "GLIBC_TUNABLES"])
+def test_other_malloc_settings_keep_the_policy(settings):
+    # only the mmap and trim thresholds are the caller's to set instead
+    assert third_step(**settings)["faults"] < 1000
 
 
 @pytest.mark.parametrize("settings", [

@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +47,58 @@ class TestBetaSampler:
             ag.BetaParams(alpha=0.0)
         with pytest.raises(ValueError):
             ag.BetaParams(alpha=-1.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 10.0])
+    def test_draws_equal_the_plain_ratio(self, alpha):
+        # g1 / (g1 + g2) wherever the sum is positive and finite
+        def reference_gamma(a, rng):
+            if a < 1.0:
+                u = rng.uniform()
+                while u == 0.0:
+                    u = rng.uniform()
+                return reference_gamma(a + 1.0, rng) * u ** (1.0 / a)
+            d = a - 1.0 / 3.0
+            c = 1.0 / math.sqrt(9.0 * d)
+            while True:
+                x = rng.standard_normal()
+                v = 1.0 + c * x
+                if v <= 0.0:
+                    continue
+                v = v * v * v
+                u = rng.uniform()
+                if u < 1.0 - 0.0331 * x ** 4:
+                    return d * v
+                if u > 0.0 and math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
+                    return d * v
+
+        params = ag.BetaParams(alpha=alpha)
+        ours, ref = np.random.default_rng(23), np.random.default_rng(23)
+        for _ in range(5000):
+            g1, g2 = reference_gamma(alpha, ref), reference_gamma(alpha, ref)
+            expected = min(max(g1 / (g1 + g2), 1e-12), 1.0 - 1e-12)
+            assert ag.sample_beta(params, ours) == expected
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_tiny_alpha_draws_stay_inside(self):
+        # at alpha 0.001 both gamma variates often underflow to 0
+        rng = np.random.default_rng(24)
+        params = ag.BetaParams(alpha=0.001)
+        draws = np.array([ag.sample_beta(params, rng) for _ in range(20_000)])
+        assert np.all((draws >= 1e-12) & (draws <= 1.0 - 1e-12))
+        # Beta(a, a) for small a puts half its mass near each end
+        assert 0.45 < np.mean(draws > 0.5) < 0.55
+
+    def test_denormal_alpha_draws_stay_inside(self):
+        # below alpha ~1e-307 even the variates' logs overflow to -inf
+        rng = np.random.default_rng(30)
+        draws = [ag.sample_beta(ag.BetaParams(alpha=1e-320), rng) for _ in range(100)]
+        assert all(1e-12 <= d <= 1.0 - 1e-12 for d in draws)
+
+    def test_huge_alpha_draws_near_half(self):
+        # the two variates are near 1e308 and their sum overflows
+        rng = np.random.default_rng(25)
+        draws = [ag.sample_beta(ag.BetaParams(alpha=1e308), rng) for _ in range(100)]
+        assert all(abs(d - 0.5) < 1e-6 for d in draws)
 
     def test_matches_numpy_beta_distribution(self):
         # two-sided moment cross-check against numpy's own sampler
@@ -93,6 +148,49 @@ class TestMixup:
                                    ag.mixup_waveforms(b, a, 1.0 - lam), atol=1e-12)
 
 
+def reference_shift(wave, s):
+    """shift_samples as it was with a branch per sign of the shift."""
+    wave = np.asarray(wave, dtype=np.float64)
+    out = np.zeros_like(wave)
+    n = wave.size
+    if abs(s) >= n:
+        return out
+    if s >= 0:
+        out[s:] = wave[:n - s] if s else wave
+    else:
+        out[:n + s] = wave[-s:]
+    return out
+
+
+def reference_stretch(wave, factor):
+    """stretch_to_factor as it was: resample to round(n / factor) samples,
+    then truncate or zero-pad."""
+    wave = np.asarray(wave, dtype=np.float64)
+    n = wave.size
+    new_len = int(round(n / factor))
+    positions = np.minimum(np.arange(new_len) * factor, n - 1.0)
+    resampled = np.interp(positions, np.arange(n, dtype=np.float64), wave)
+    if new_len >= n:
+        return resampled[:n]
+    out = np.zeros(n, dtype=np.float64)
+    out[:new_len] = resampled
+    return out
+
+
+def signed_wave(rng, n, dtype):
+    """Normal samples with some exact zeros of either sign."""
+    wave = rng.normal(size=n).astype(dtype)
+    wave[rng.integers(0, n, size=max(1, n // 50))] = 0.0
+    wave[rng.integers(0, n, size=max(1, n // 50))] = -0.0
+    return wave
+
+
+def assert_same_bits(out, ref):
+    assert out.dtype == ref.dtype == np.float64
+    assert np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
 class TestTimeShift:
     def test_zero_shift_identity(self):
         rng = np.random.default_rng(11)
@@ -117,6 +215,15 @@ class TestTimeShift:
     def test_shift_past_the_clip_gives_zeros(self, s):
         out = ag.shift_samples(np.ones(16000), s)
         np.testing.assert_array_equal(out, np.zeros(16000))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_branching_reference(self, dtype):
+        rng = np.random.default_rng(26)
+        edges = [0, 1, -1, 16000, -16000, 15999, -15999, 20000, -20000]
+        shifts = edges + [int(s) for s in rng.integers(-20000, 20001, size=300)]
+        for s in shifts:
+            wave = signed_wave(rng, 16000, dtype)
+            assert_same_bits(ag.shift_samples(wave, s), reference_shift(wave, s))
 
     def test_random_shift_bounds_and_length(self):
         rng = np.random.default_rng(14)
@@ -149,6 +256,31 @@ class TestTimeStretch:
         assert out.shape == (16000,)
         assert np.all(out[:14545] == 1.0)
         assert np.all(out[14545:] == 0.0)
+
+    def test_matches_truncating_and_padding_reference(self):
+        rng = np.random.default_rng(28)
+        edges = [1e-3, 37.0, 0.9, 1.1, 1.0, 0.5, 2.0]
+        factors = edges + list(np.exp(rng.uniform(math.log(1e-3), math.log(37.0), 200)))
+        for factor in factors:
+            wave = signed_wave(rng, 1600, np.float64)
+            assert_same_bits(ag.stretch_to_factor(wave, factor),
+                             reference_stretch(wave, factor))
+        for factor in rng.uniform(0.9, 1.1, 50):  # the default range, full clips
+            wave = signed_wave(rng, 16000, np.float32)
+            assert_same_bits(ag.stretch_to_factor(wave, factor),
+                             reference_stretch(wave, factor))
+
+    @pytest.mark.parametrize("factor", [1e-6, 1e-320])
+    def test_extreme_slowdown_keeps_only_the_clip(self, factor):
+        # the resampled clip would have 1.6e10 samples, or an infinite count
+        wave = np.random.default_rng(29).normal(size=16000)
+        start = time.perf_counter()
+        out = ag.stretch_to_factor(wave, factor)
+        assert time.perf_counter() - start < 5.0
+        assert out.shape == (16000,)
+        # every position k * factor lies below 1: a line from wave[0] to wave[1]
+        np.testing.assert_allclose(out, wave[0] + np.arange(16000) * factor
+                                   * (wave[1] - wave[0]), rtol=1e-9, atol=1e-12)
 
     def test_random_factor_within_range(self):
         rng = np.random.default_rng(16)

@@ -342,7 +342,7 @@ class TestConv2d:
         returned("conv2d")
         conv_and_grads(*case)
         returned("backward")
-        ft.log_fbank_batch(np.random.default_rng(8).normal(size=(3 * ft.SPAN_ROWS, 16000)))
+        ft.log_fbank_batch(np.random.default_rng(8).normal(size=(3 * ad.BLOCK_CLIPS, 16000)))
         returned("log_fbank_batch")
         manifest = ds.synth_dataset(tmp_path / "corpus", n_per_class=20, noise_level=0.1,
                                     seed=7)

@@ -277,6 +277,22 @@ class TestTrainEval:
         assert len(emb) == total
         assert all(len(l.split(",")) == 3 + 1 for l in emb)  # embed_dim 3
 
+    def test_tiny_alpha_trains(self, tmp_path):
+        # at alpha 0.001 both gamma variates of a draw often underflow to 0;
+        # criterion 8's corpus
+        corpus = tmp_path / "corpus"
+        manifest = tmp_path / "all.tsv"
+        ds.write_manifest(manifest, ds.synth_dataset(corpus, n_per_class=20,
+                                                     noise_level=0.1, seed=7))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CONFIG + "alpha = 0.001\n")
+        run_dir = tmp_path / "run"
+        code = main(["train", "--config", str(cfg), "--manifest", str(manifest),
+                     "--data-root", str(corpus), "--run-dir", str(run_dir),
+                     "--mode", "cosmix"])
+        assert code == 0
+        assert len((run_dir / "metrics.jsonl").read_text().splitlines()) == 2
+
     def test_refuses_existing_run_dir(self, corpus, manifest_file, config_file,
                                       tmp_path):
         run_dir = tmp_path / "run"

@@ -167,7 +167,7 @@ class TestRowSpans:
         """Force the pool at ``span_rows`` rows per span; returns the spans
         handed to it."""
         monkeypatch.setattr(ad, "POOL_WORKERS", 1)
-        monkeypatch.setattr(ft, "SPAN_ROWS", span_rows)
+        monkeypatch.setattr(ad, "BLOCK_CLIPS", span_rows)
         share, spans = ad._share, []
 
         def spy(fn, fn_spans):
