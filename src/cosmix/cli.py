@@ -21,7 +21,7 @@ from . import model as md
 from . import runconfig as rc
 from . import trainer as tr
 from .errors import CheckpointError, ConfigError, ContractError, DatasetError, \
-    NumericError
+    NumericError, ShapeError
 from .verify import run_all
 
 EXIT_OK = 0
@@ -98,11 +98,18 @@ def cmd_train(args):
 
 
 def _best_params(args):
-    """Model parameters from the run directory's best checkpoint."""
+    """Model parameters from the run directory's best checkpoint; a record
+    missing or of the wrong shape for its config names the file."""
     ckpt_path = Path(args.run_dir) / "best.ckpt"
     if not ckpt_path.exists():
         raise CheckpointError(f"{ckpt_path} not found; train first")
-    return tr.params_from_checkpoint(md.load_checkpoint(ckpt_path))
+    ckpt = md.load_checkpoint(ckpt_path)
+    try:
+        return tr.params_from_checkpoint(ckpt)
+    except KeyError as exc:
+        raise CheckpointError(f"{ckpt_path}: parameter {exc.args[0]}: no record") from None
+    except ShapeError as exc:
+        raise CheckpointError(f"{ckpt_path}: {exc}") from None
 
 
 def cmd_eval(args):

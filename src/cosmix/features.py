@@ -57,7 +57,7 @@ def _power_batch(waves, dtype):
 
 
 def stft_power(wave):
-    """Power spectrogram [98, 257] of a one-second waveform."""
+    """Power spectrogram [98, 257] of a one-second waveform, in float64."""
     return _power_batch(np.asarray(wave)[None], np.float64)[0]
 
 
@@ -94,17 +94,17 @@ def filter_centers_hz():
     return _band_edges_hz()[1:-1]
 
 
-def log_fbank_batch(waves, dtype=np.float64):
-    """Log-mel features of an [N, 16000] stack -> [N, 98, 64].
+def log_fbank_batch(waves):
+    """Log-mel features of an [N, 16000] stack -> [N, 98, 64] float32.
 
-    Training computes in float32; evaluation computes in float64 and
-    casts after. The rows are featurized one at a time into one
-    preallocated output: a single row's frames and complex spectrum stay
-    in cache, where a whole stack's spill out of it. One row at a time
-    measured faster than any larger chunk (96 float32 rows, one BLAS
-    thread on a 2-core Xeon: 68 ms, against 75 ms in chunks of 4 and
-    132 ms as one batch). Row n equals a one-row call on ``waves[n]``
-    exactly.
+    Training and evaluation share this one path: a float64 stack is cast
+    to float32 first and every step computes in float32. The rows are
+    featurized one at a time into one preallocated output: a single row's
+    frames and complex spectrum stay in cache, where a whole stack's spill
+    out of it. One row at a time measured faster than any larger chunk
+    (96 rows, one BLAS thread on a 2-core Xeon: 68 ms, against 75 ms in
+    chunks of 4 and 132 ms as one batch). Row n equals a one-row call on
+    ``waves[n]`` exactly.
 
     The rows go out in spans of ``autodiff.BLOCK_CLIPS`` rows, conv2d's
     block size, through ``autodiff._in_blocks``, on the calling thread and
@@ -113,15 +113,15 @@ def log_fbank_batch(waves, dtype=np.float64):
     row of the output, so the result is bit-identical at any span size and
     on either thread. The worker calls only ``_power_batch`` and numpy.
     """
-    waves = _wave_stack(waves, dtype)
-    fbank_t = mel_filterbank().T.astype(dtype, copy=False)
-    floor = np.asarray(LOG_FLOOR, dtype=dtype)
+    waves = _wave_stack(waves, np.float32)
+    fbank_t = mel_filterbank().T.astype(np.float32)
+    floor = np.float32(LOG_FLOOR)
     n = len(waves)
-    out = np.empty((n, FRAME_COUNT, N_MELS), dtype=dtype)
+    out = np.empty((n, FRAME_COUNT, N_MELS), dtype=np.float32)
 
     def featurize_span(lo, hi):
         for row in range(lo, hi):
-            energies = _power_batch(waves[row:row + 1], dtype)[0] @ fbank_t
+            energies = _power_batch(waves[row:row + 1], np.float32)[0] @ fbank_t
             out[row] = np.log(np.maximum(energies, floor))
 
     ad._in_blocks(featurize_span, n, ad.BLOCK_CLIPS)

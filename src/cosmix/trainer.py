@@ -136,9 +136,9 @@ class ClipStore:
 
     A waveform is cached as float32, 64,000 bytes a clip: each 16-bit
     sample over 32768 has at most 16 significant bits, so float32 holds
-    ``load_wav``'s float64 values exactly, and every consumer casts back
-    to float64. Cached arrays are read-only, since every later batch
-    shares them.
+    ``load_wav``'s float64 values exactly. Training's augmentation casts
+    it to float64; evaluation featurizes it as it is. Cached arrays are
+    read-only, since every later batch shares them.
     """
 
     def __init__(self, manifest):
@@ -158,13 +158,12 @@ class ClipStore:
     def eval_features(self, entries):
         """Evaluation features [n, 98, 64] float32 of a chunk of entries.
 
-        The uncached entries are featurized in one float64
-        ``log_fbank_batch`` call, cast to float32 and cached row by row.
+        The uncached entries are featurized in one ``log_fbank_batch``
+        call and cached row by row.
         """
         missing = {e.path: e for e in entries if e.path not in self._eval_feats}
         if missing:
-            waves = np.stack([self.wave(e) for e in missing.values()])
-            feats = log_fbank_batch(waves, np.float64).astype(np.float32)
+            feats = log_fbank_batch(np.stack([self.wave(e) for e in missing.values()]))
             self._eval_feats.update(zip(missing, feats))
         return np.stack([self._eval_feats[e.path] for e in entries])
 
@@ -227,7 +226,7 @@ def compose_batch(store, indices, cfg, aug_cfg=AugmentConfig(), epoch=1, batch_i
         is_mixed[row] = mixed
 
     built = [item for view in views for item in view]  # mixed, i, then j views
-    feats = log_fbank_batch(np.stack([wave for wave, _ in built]), dtype=np.float32)
+    feats = log_fbank_batch(np.stack([wave for wave, _ in built], dtype=np.float32))
     for k, (_, view_rng) in enumerate(built):
         feats[k] = spec_augment(feats[k], view_rng, aug_cfg)
     if not with_views:

@@ -8,6 +8,7 @@ import pytest
 from cosmix import cli
 from cosmix import dataset as ds
 from cosmix import errors
+from cosmix import model as md
 from cosmix import runconfig as rc
 from cosmix import trainer as tr
 from cosmix.cli import main
@@ -454,6 +455,44 @@ class TestTrainEval:
             a.pop("seconds")
             b.pop("seconds")
         assert m1 == m2
+
+
+class TestMismatchedCheckpoint:
+    """A best.ckpt whose records do not fit its own config exits 2 naming the file."""
+
+    @staticmethod
+    def write_best(run_dir, edit):
+        model_cfg = md.ModelConfig(channels=(2, 3))
+        values = md.init_params(model_cfg).copy_values()
+        edit(values)
+        run_dir.mkdir()
+        path = run_dir / "best.ckpt"
+        md.save_checkpoint(path, md.Checkpoint(config=model_cfg, parameters=values, epoch=1,
+                                               rng_state=b"{}", metrics_tail={}))
+        return path
+
+    @staticmethod
+    def run(command, path, corpus, manifest_file):
+        return main([command, "--run-dir", str(path.parent),
+                     "--manifest", str(manifest_file), "--data-root", str(corpus)])
+
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_missing_record_exit_2_names_file(self, corpus, manifest_file, tmp_path,
+                                              capsys, command):
+        path = self.write_best(tmp_path / "run", lambda values: values.pop("proj.w2"))
+        assert self.run(command, path, corpus, manifest_file) == 2
+        assert f"{path}: parameter proj.w2: " in capsys.readouterr().err
+        assert [p.name for p in path.parent.iterdir()] == ["best.ckpt"]
+
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_wrong_shape_record_exit_2_names_file(self, corpus, manifest_file, tmp_path,
+                                                  capsys, command):
+        def shrink(values):
+            values["cls.w"] = values["cls.w"][:2]
+        path = self.write_best(tmp_path / "run", shrink)
+        assert self.run(command, path, corpus, manifest_file) == 2
+        assert f"{path}: parameter cls.w: (2, 10) vs (3, 10)" in capsys.readouterr().err
+        assert [p.name for p in path.parent.iterdir()] == ["best.ckpt"]
 
 
 class TestAblate:

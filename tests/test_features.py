@@ -104,10 +104,14 @@ class TestLogFbank:
     def test_scaling_by_two_bounded_by_log4(self):
         rng = np.random.default_rng(5)
         wave = rng.normal(size=16000) * 0.1
+        # in float64 doubling the wave quadruples its power exactly
+        np.testing.assert_array_equal(ft.stft_power(2 * wave), 4 * ft.stft_power(wave))
         a = ft.log_fbank_batch(wave[None])[0]
         b = ft.log_fbank_batch(2 * wave[None])[0]
         delta = b - a
-        assert delta.max() <= np.log(4.0) + 1e-9
+        # the features are float32: the difference may overshoot log 4 by
+        # the rounding of its larger side, one float32 spacing of max|b|
+        assert delta.max() <= np.log(4.0) + np.spacing(np.abs(b).max())
         floored = np.isclose(a, np.log(ft.LOG_FLOOR))
         assert np.all(delta[floored] >= -1e-12)
 
@@ -127,16 +131,15 @@ class TestLogFbank:
         fbank = ft.mel_filterbank()
         for n in (1, 2, 7, 33, 96):
             waves = rng.normal(size=(n, 16000)) * 0.3
-            for dtype in (np.float32, np.float64):
-                batch = ft.log_fbank_batch(waves, dtype)
-                assert batch.shape == (n, 98, 64) and batch.dtype == dtype
-                single = np.stack([ft.log_fbank_batch(w[None], dtype)[0] for w in waves])
-                np.testing.assert_array_equal(batch, single)
-                # the whole-stack formula: one FFT call and one filterbank GEMM
-                power = ft._power_batch(waves, dtype).reshape(-1, ft.N_BINS)
-                whole = np.log(np.maximum(power @ fbank.T.astype(dtype),
-                                          np.asarray(ft.LOG_FLOOR, dtype=dtype)))
-                np.testing.assert_array_equal(batch, whole.reshape(n, 98, 64))
+            batch = ft.log_fbank_batch(waves)
+            assert batch.shape == (n, 98, 64) and batch.dtype == np.float32
+            single = np.stack([ft.log_fbank_batch(w[None])[0] for w in waves])
+            np.testing.assert_array_equal(batch, single)
+            # the whole-stack formula: one FFT call and one filterbank GEMM
+            power = ft._power_batch(waves, np.float32).reshape(-1, ft.N_BINS)
+            whole = np.log(np.maximum(power @ fbank.T.astype(np.float32),
+                                      np.float32(ft.LOG_FLOOR)))
+            np.testing.assert_array_equal(batch, whole.reshape(n, 98, 64))
 
     def test_stft_power_is_row_of_batched_power(self):
         rng = np.random.default_rng(9)
@@ -177,21 +180,22 @@ class TestRowSpans:
         monkeypatch.setattr(ad, "_share", spy)
         return spans
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # evaluation hands float32 clips; a float64 stack is cast to them first
+    @pytest.mark.parametrize("wave_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 33, 96])
     @pytest.mark.parametrize("span_rows", [1, 3])  # 3 leaves a longer last span
-    def test_pooled_rows_match_inline(self, monkeypatch, span_rows, n, dtype):
+    def test_pooled_rows_match_inline(self, monkeypatch, span_rows, n, wave_dtype):
         spans = self.pooled(monkeypatch, span_rows)
-        waves = np.random.default_rng(n).normal(size=(n, 16000)) * 0.3
-        pooled = ft.log_fbank_batch(waves, dtype)
+        waves = (np.random.default_rng(n).normal(size=(n, 16000)) * 0.3).astype(wave_dtype)
+        pooled = ft.log_fbank_batch(waves)
         # the last span takes the remainder; fewer than two spans, a one-row
         # call among them, never reach the pool
         last = (n // span_rows - 1) * span_rows
         assert spans == ([(lo, lo + span_rows) for lo in range(0, last, span_rows)]
                          + [(last, n)] if n >= 2 * span_rows else [])
         monkeypatch.setattr(ad, "POOL_WORKERS", 0)
-        inline = ft.log_fbank_batch(waves, dtype)
-        assert pooled.dtype == dtype
+        inline = ft.log_fbank_batch(waves.astype(np.float32))
+        assert pooled.dtype == np.float32
         assert np.array_equal(pooled, inline)
 
     def test_worker_error_surfaces_in_caller(self, monkeypatch):

@@ -12,7 +12,7 @@ import pkgutil
 
 import cosmix
 
-EXPECTED = 95
+EXPECTED = 94
 
 
 def _defaulted(prefix, fn):

@@ -267,6 +267,19 @@ class TestComposeBatch:
         assert batch.is_mixed.all()
         assert np.all((batch.lambdas > 0) & (batch.lambdas < 1))
 
+    def test_unaugmented_views_equal_eval_features(self, store):
+        # training and evaluation featurize through one float32 path: with
+        # every augmentation at identity, a training view is its clip's eval row
+        aug = AugmentConfig(shift_ms_low=0.0, shift_ms_high=0.0, stretch_low=1.0,
+                            stretch_high=1.0, time_mask_max=0, freq_mask_max=0)
+        cfg = tr.TrainConfig(batch_size=8, mix_ratio=0.0, seed=6)
+        indices = list(range(8))
+        batch = tr.compose_batch(store, indices, cfg, aug)
+        entries = store.manifest.split_entries("train")
+        expected = store.eval_features([entries[i] for i in indices])
+        np.testing.assert_array_equal(batch.feats_mix, expected)
+        np.testing.assert_array_equal(batch.feats_i, expected)
+
     def test_unmixed_batch_builds_no_j_views(self, store):
         cfg = tr.TrainConfig(batch_size=2, mix_ratio=0.0, seed=8)
         batch = tr.compose_batch(store, [0, 1], cfg)
@@ -284,9 +297,9 @@ class TestComposeBatch:
         calls = []
         log_fbank_batch = tr.log_fbank_batch
 
-        def counting(waves, dtype):
+        def counting(waves):
             calls.append(len(waves))
-            return log_fbank_batch(waves, dtype)
+            return log_fbank_batch(waves)
         monkeypatch.setattr(tr, "log_fbank_batch", counting)
         cfg = tr.TrainConfig(batch_size=16, beta_penalty=beta_penalty, seed=11)
         batch = tr.compose_batch(store, list(range(16)), cfg)
@@ -309,8 +322,8 @@ class TestComposeBatch:
         # is_mixed comes from each row's stream 0, before any view is built,
         # so skipping the costly view work cannot move the count
         monkeypatch.setattr(tr, "time_stretch", lambda wave, rng, aug: wave)
-        monkeypatch.setattr(tr, "log_fbank_batch", lambda waves, dtype:
-                            np.zeros((len(waves), 98, 64), dtype=dtype))
+        monkeypatch.setattr(tr, "log_fbank_batch", lambda waves:
+                            np.zeros((len(waves), 98, 64), dtype=np.float32))
         # beta_penalty 0 builds the mixed view only
         cfg = tr.TrainConfig(batch_size=128, mix_ratio=0.5, beta_penalty=0.0, seed=10)
         mixed = 0
@@ -375,7 +388,7 @@ class TestEvaluate:
         def per_clip(e):
             # float64 straight from the WAV, no store in between
             wave = ds.pad_or_trim(ds.load_wav(e.path, root=small_corpus.root))
-            return ft.log_fbank_batch(wave[None])[0].astype(np.float32)
+            return ft.log_fbank_batch(wave[None])[0]
         entries = small_corpus.split_entries("test")[:tr.EVAL_BATCH]
         chunk = store.eval_features(entries)
         assert chunk.shape == (len(entries), 98, 64) and chunk.dtype == np.float32
