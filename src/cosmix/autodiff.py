@@ -9,41 +9,20 @@ serve no training path; bench/tracing.py still patches them by name, and
 the ``sigmoid_bce_grad`` verify suite audits the first. Ops are taped only
 while a ``Tape`` context is active, so plain calls are inference.
 
-Row blocks. ``conv2d`` does its per-row work in row blocks of
-``BLOCK_CLIPS`` clips (``_in_blocks`` states how spans are cut and when
-they run inline): the padding, the im2col copy, the forward GEMM, the
-bias add, the finiteness check and the relu, and in backward the mask,
-each clip's bias-gradient partial, the input-gradient GEMM and col2im.
-Every output row depends on its own input rows only, so blocks give the
-same bits as one whole-batch call.
-Whole: the weight GEMM and the final sum of the per-clip bias partials,
-which reduce over rows. The weight GEMM may be split in two along an
-output axis, which leaves each element's sum over rows whole. Each bias
-partial sums one clip's channels-first map, so adding the partials clip
-by clip keeps the order of one sum over the whole channels-first map: a
-row-wise sum rounds differently, and training results follow those
-roundings. Workers run numpy into preallocated slices only: they create
-no ``Tensor``, call neither ``_sabotage`` nor ``_check_finite``, and reach
-no module attribute that bench/tracing.py patches, so neither the tracer
-nor the thread-local recording stack sees them. A block that sees a
-non-finite pre-activation only notes it; the caller raises once every
-block is done.
-
-``features.log_fbank_batch`` hands its rows to the same worker through
-``_in_blocks``, in spans of ``BLOCK_CLIPS`` rows too; there is one
-executor, one worker and one span size for both.
+``conv2d`` does its per-row work in row blocks on two threads, by the
+span rule of ``runtime``; its docstring says which steps are per-block
+and which are whole.
 """
 from __future__ import annotations
 
-import contextvars
 import os
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
 
+from . import runtime
 from .errors import ContractError, NumericError, ShapeError
 
 # Mutation-testing hook: name an op here (e.g. "conv2d") and the whole
@@ -372,7 +351,7 @@ def conv2d(x, k, b, stride=1, padding=0):
 
     [B, H, W, C] input, [O, C, kh, kw] kernels, [O] bias -> [B, Ho, Wo, O].
     Computed as im2col plus one GEMM per product. With ``kmat`` the kernel
-    as [O, kh*kw*C], each row block of ``BLOCK_CLIPS`` clips is padded
+    as [O, kh*kw*C], each row block of ``runtime.BLOCK_CLIPS`` clips is padded
     into its own [n, Hp, Wp, C] buffer, whose strided window view is
     copied into the block's rows of the [B*Ho*Wo, kh*kw*C] ``cols``
     matrix; ``cols @ kmat.T`` for those rows goes into the block's rows
@@ -389,9 +368,17 @@ def conv2d(x, k, b, stride=1, padding=0):
     strided add per kernel offset (col2im), each offset clipped to the
     taps that land inside the input. Whole: the sum of the bias partials
     over clips, and the weight gradient ``g2.T @ cols``, which reduces
-    over rows, and may run as two halves on the pool. The vjp closure
-    keeps ``cols``, ``kmat`` and the output until ``backward`` has run
-    it. Blocks and halves are described in the module docstring.
+    over rows, and may run as two halves on the pool, split along an
+    output axis so each element's sum over rows stays whole. The vjp
+    closure keeps ``cols``, ``kmat`` and the output until ``backward``
+    has run it.
+
+    Every output row depends on its own input rows only, so blocks give
+    the bits of one whole-batch call (``runtime`` states when blocks run
+    on two threads). Each bias partial sums one clip's channels-first
+    map, so adding the partials clip by clip keeps the order of one sum
+    over the whole channels-first map: a row-wise sum rounds differently,
+    and training results follow those roundings.
     """
     x, k, b = as_tensor(x), as_tensor(k), as_tensor(b)
     _want_rank(x, 4, "conv2d", "x")
@@ -430,7 +417,7 @@ def conv2d(x, k, b, stride=1, padding=0):
             nonfinite.append((lo, hi))
         np.maximum(out_blk, 0, out=out_blk)
 
-    _in_blocks(forward_block, bsz, BLOCK_CLIPS, rows * width * cout)
+    runtime.in_blocks(forward_block, bsz, runtime.BLOCK_CLIPS, rows * width * cout)
     if nonfinite:
         raise NumericError("non-finite forward values in op 'conv2d'")
     out = out.reshape(bsz, ho, wo, cout)
@@ -464,7 +451,7 @@ def conv2d(x, k, b, stride=1, padding=0):
                     for j, (wlo, whi, ws) in enumerate(taps_w):
                         dx_blk[:, hs, ws] += dcols[:, hlo:hhi, wlo:whi, i, j]
 
-        _in_blocks(backward_block, bsz, BLOCK_CLIPS, rows * width * cout)
+        runtime.in_blocks(backward_block, bsz, runtime.BLOCK_CLIPS, rows * width * cout)
         if want_b:
             _accum(b, b_parts.sum(axis=0), owned=True)
         if _wants_grad(k):
@@ -483,90 +470,12 @@ def conv2d(x, k, b, stride=1, padding=0):
 
             # a half one row or column wide goes to numpy's gemv, which sums
             # in another order than the whole product does: keep it whole
-            _in_blocks(weight_part, n, n // 2 if other >= 2 and n >= 4 else n,
-                       bsz * rows * other)
+            runtime.in_blocks(weight_part, n, n // 2 if other >= 2 and n >= 4 else n,
+                              bsz * rows * other)
             _accum(k, dk.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2), owned=True)
         if want_x:
             _accum(x, dx, owned=True)
     return _node("conv2d", out, (x, k, b), vjp)
-
-
-# ---------------------------------------------------------------------------
-# row blocks on a two-thread pool
-
-# clips per row block, and rows per span of features.log_fbank_batch. On
-# a two-vCPU Sapphire Rapids VM, blocks of 8 and 16 timed alike and 32
-# leaves a 32-clip call one block; 8 gives a 32-clip call four blocks, so
-# a thread whose CPU the hypervisor stalls holds up one small block while
-# the other thread takes the rest. The front end's spans timed alike from
-# 2 to 16 rows.
-BLOCK_CLIPS = 8
-# multiply-adds in each span of a GEMM split by _in_blocks, at least. A
-# smaller product can take OpenBLAS's small-matrix kernels, which sum in
-# another order than the kernels of the whole product; in a sweep of conv
-# shapes with OpenBLAS 0.3.31 on Sapphire Rapids, at 1 and 2 BLAS threads,
-# every block or half that differed from the whole product had under 2**20.
-MIN_MADDS = 1 << 21
-# pool workers besides the calling thread: one where a second CPU is ours
-POOL_WORKERS = min(2, len(os.sched_getaffinity(0))) - 1
-
-# The single pool worker. Its thread starts on the first submit and then
-# stays idle between calls: handing it a task costs less than starting and
-# joining a thread (about 110 against 180 microseconds on a two-vCPU VM),
-# and a step makes a dozen conv calls. concurrent.futures joins it at
-# interpreter exit.
-_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cosmix-pool")
-
-
-def _share(fn, spans):
-    """Call ``fn(lo, hi)`` for every span, taken one at a time from one
-    shared iterator by the calling thread and by the pool worker, and
-    return once both are done. The worker runs in a copy of the caller's
-    context, so numpy's error state (``np.errstate``) holds there too. A
-    worker's exception is raised here; the first error stops both threads
-    from taking further spans."""
-    spans = iter(spans)
-    lock = threading.Lock()
-    failed = False
-
-    def take_all():
-        nonlocal failed
-        while True:
-            with lock:
-                span = None if failed else next(spans, None)
-            if span is None:
-                return
-            try:
-                fn(*span)
-            except BaseException:
-                failed = True
-                raise
-
-    future = _pool.submit(contextvars.copy_context().run, take_all)
-    try:
-        take_all()
-    finally:
-        wait([future])
-    future.result()
-
-
-def _in_blocks(fn, n, size, item_madds=None):
-    """Call ``fn(lo, hi)`` over items [0, n) in ``n // size`` spans of
-    ``size`` items, the last span taking the remainder, shared between the
-    calling thread and the pool worker (``_share``); or call ``fn(0, n)``
-    once, inline, when ``POOL_WORKERS`` is 0 (one CPU is ours), when there
-    are fewer than two spans, or when a span's GEMM, at ``item_madds``
-    multiply-adds per item, would be under ``MIN_MADDS``.
-
-    Every caller writes each output element from one span only, so spans
-    give the bits of one whole call, as long as each span's GEMM is large
-    enough for BLAS to use the kernels it uses for the whole product."""
-    if POOL_WORKERS == 0 or n < 2 * size or \
-            (item_madds is not None and size * item_madds < MIN_MADDS):
-        fn(0, n)
-    else:
-        bounds = [i * size for i in range(n // size)] + [n]
-        _share(fn, zip(bounds[:-1], bounds[1:]))
 
 
 def _tap_span(i, n_out, n_in, stride, padding):

@@ -127,7 +127,7 @@ def pad_or_trim(samples):
     return out
 
 
-def _read_text(path, error):
+def read_text(path, error):
     """The UTF-8 text of ``path``; a file that is not UTF-8 raises ``error``
     naming it."""
     try:
@@ -138,7 +138,7 @@ def _read_text(path, error):
 
 def _read_list(path):
     out = []
-    for line in _read_text(path, ManifestError).splitlines():
+    for line in read_text(path, ManifestError).splitlines():
         line = line.strip()
         if line:
             out.append(line.replace("\\", "/"))
@@ -249,7 +249,7 @@ def write_manifest(path, manifest):
 
 def read_manifest(path, root):
     entries = []
-    for i, line in enumerate(_read_text(path, ManifestError).splitlines(), 1):
+    for i, line in enumerate(read_text(path, ManifestError).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -11,7 +11,7 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import autodiff as ad
+from . import runtime
 from .dataset import CLIP_SAMPLES, SAMPLE_RATE
 
 WIN_LENGTH = 400
@@ -106,12 +106,11 @@ def log_fbank_batch(waves):
     chunks of 4 and 132 ms as one batch). Row n equals a one-row call on
     ``waves[n]`` exactly.
 
-    The rows go out in spans of ``autodiff.BLOCK_CLIPS`` rows, conv2d's
-    block size, through ``autodiff._in_blocks``, on the calling thread and
-    conv2d's pool worker; a call of fewer than two spans runs inline.
-    Within a span each row is still computed alone and written to its own
-    row of the output, so the result is bit-identical at any span size and
-    on either thread. The worker calls only ``_power_batch`` and numpy.
+    The rows go out in spans of ``runtime.BLOCK_CLIPS`` rows by
+    ``runtime``'s span rule. Within a span each row is still computed
+    alone and written to its own row of the output, so the result is
+    bit-identical at any span size and on either thread. The worker calls
+    only ``_power_batch`` and numpy.
     """
     waves = _wave_stack(waves, np.float32)
     fbank_t = mel_filterbank().T.astype(np.float32)
@@ -124,6 +123,6 @@ def log_fbank_batch(waves):
             energies = _power_batch(waves[row:row + 1], np.float32)[0] @ fbank_t
             out[row] = np.log(np.maximum(energies, floor))
 
-    ad._in_blocks(featurize_span, n, ad.BLOCK_CLIPS)
+    runtime.in_blocks(featurize_span, n, runtime.BLOCK_CLIPS, None)
     return out
 

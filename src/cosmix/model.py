@@ -153,7 +153,10 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self):
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: corrupt text field ({exc})") from None
 
 
 def save_checkpoint(path, ckpt):
@@ -191,7 +194,7 @@ def load_checkpoint(path):
         metrics_tail = json.loads(r.string())
     except ConfigError as exc:
         raise CheckpointError(str(exc)) from None
-    except ValueError as exc:  # a text field that is not UTF-8, or a tail not JSON
+    except ValueError as exc:  # a metrics tail that is not JSON
         raise CheckpointError(f"{path}: corrupt text field ({exc})") from None
     n_records = r.u32()
     parameters = {}

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .augment import AugmentConfig
-from .dataset import _read_text
+from .dataset import read_text
 from .errors import ConfigError
 from .model import N_CLASSES, PROJ_DIM, PROJ_HIDDEN, ModelConfig
 from .trainer import TrainConfig
@@ -93,7 +93,7 @@ def parse_config(text, source="<config>"):
 
 
 def load_config(path):
-    return parse_config(_read_text(path, ConfigError), source=str(path))
+    return parse_config(read_text(path, ConfigError), source=str(path))
 
 
 def _format_section(prefix, cfg):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cosmix import autodiff as ad
+from cosmix import runtime
 from cosmix.errors import ContractError, NumericError, ShapeError
 
 
@@ -65,24 +66,24 @@ def nhwc(a):
 
 BLOCK = 4  # clips per row block in the tests below
 # [H, W, C] input and output channels whose 4-clip blocks do more than
-# autodiff.MIN_MADDS multiply-adds at every (stride, padding) below
+# runtime.MIN_MADDS multiply-adds at every (stride, padding) below
 POOLED_SHAPE = ((24, 24, 16), 32)
 
 
 def pooled(monkeypatch, workers=1):
-    monkeypatch.setattr(ad, "POOL_WORKERS", workers)
-    monkeypatch.setattr(ad, "BLOCK_CLIPS", BLOCK)
+    monkeypatch.setattr(runtime, "POOL_WORKERS", workers)
+    monkeypatch.setattr(runtime, "BLOCK_CLIPS", BLOCK)
 
 
 def spy_share(monkeypatch):
     """Record (function name, span) for every span handed to the pool."""
-    share, spans = ad._share, []
+    share, spans = runtime._share, []
 
     def spy(fn, fn_spans):
         fn_spans = list(fn_spans)
         spans.extend((fn.__name__, span) for span in fn_spans)
         return share(fn, fn_spans)
-    monkeypatch.setattr(ad, "_share", spy)
+    monkeypatch.setattr(runtime, "_share", spy)
     return spans
 
 
@@ -207,11 +208,11 @@ class TestConv2d:
             def bad_block_on_worker(fn, spans):
                 for lo, hi in spans:
                     if lo <= bad < hi:
-                        ad._pool.submit(contextvars.copy_context().run, fn, lo,
-                                        hi).result()
+                        runtime._pool.submit(contextvars.copy_context().run, fn, lo,
+                                             hi).result()
                     else:
                         fn(lo, hi)
-            monkeypatch.setattr(ad, "_share", bad_block_on_worker)
+            monkeypatch.setattr(runtime, "_share", bad_block_on_worker)
         spans = spy_share(monkeypatch)
         with np.errstate(over="ignore"), \
                 pytest.raises(NumericError, match="non-finite forward values in op 'conv2d'"):
@@ -272,7 +273,7 @@ class TestConv2d:
         bsz, hwc = 64, (16, 8, 64)
         case = conv_case(np.random.default_rng(10), bsz, hwc, 1, 1, 1, dtype)
         rows, width = 16 * 8, 9 * 64
-        assert bsz * rows * (width // 2) >= ad.MIN_MADDS  # large enough to halve
+        assert bsz * rows * (width // 2) >= runtime.MIN_MADDS  # large enough to halve
         pooled(monkeypatch, workers=0)
         whole = conv_and_grads(*case, stride=1, padding=1)
         pooled(monkeypatch)
@@ -284,7 +285,7 @@ class TestConv2d:
 
     def test_worker_error_surfaces_in_caller(self, monkeypatch):
         pooled(monkeypatch)
-        caller, share = threading.current_thread(), ad._share
+        caller, share = threading.current_thread(), runtime._share
         worker_started = threading.Event()
 
         def failing_on_worker(fn, spans):
@@ -296,7 +297,7 @@ class TestConv2d:
                     worker_started.set()
                     raise RuntimeError(f"block {lo}:{hi} failed on the worker")
             return share(block, spans)
-        monkeypatch.setattr(ad, "_share", failing_on_worker)
+        monkeypatch.setattr(runtime, "_share", failing_on_worker)
         case = conv_case(np.random.default_rng(6), 3 * BLOCK, *POOLED_SHAPE, 2, 1, np.float32)
         with pytest.raises(RuntimeError, match=r"block \d+:\d+ failed on the worker"):
             ad.conv2d(*(ad.Tensor(a) for a in case[:3]), stride=2, padding=1)
@@ -307,8 +308,8 @@ class TestConv2d:
         from cosmix import model as md
         from cosmix import trainer as tr
 
-        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
-        caller, share = threading.current_thread(), ad._share
+        monkeypatch.setattr(runtime, "POOL_WORKERS", 1)
+        caller, share = threading.current_thread(), runtime._share
         lock = threading.Lock()
         state = {"running": 0, "worker_blocks": 0}
 
@@ -331,18 +332,18 @@ class TestConv2d:
                     with lock:
                         state["running"] -= 1
             return share(block, spans)
-        monkeypatch.setattr(ad, "_share", tracked)
+        monkeypatch.setattr(runtime, "_share", tracked)
 
         def returned(what):
             assert state["running"] == 0, f"a block still runs after {what} returned"
 
-        case = conv_case(np.random.default_rng(7), 3 * ad.BLOCK_CLIPS, *POOLED_SHAPE, 2, 1,
-                         np.float32)
+        n = 3 * runtime.BLOCK_CLIPS
+        case = conv_case(np.random.default_rng(7), n, *POOLED_SHAPE, 2, 1, np.float32)
         ad.conv2d(*(ad.Tensor(a) for a in case[:3]), stride=2, padding=1)
         returned("conv2d")
         conv_and_grads(*case)
         returned("backward")
-        ft.log_fbank_batch(np.random.default_rng(8).normal(size=(3 * ad.BLOCK_CLIPS, 16000)))
+        ft.log_fbank_batch(np.random.default_rng(8).normal(size=(n, 16000)))
         returned("log_fbank_batch")
         manifest = ds.synth_dataset(tmp_path / "corpus", n_per_class=20, noise_level=0.1,
                                     seed=7)

@@ -458,7 +458,8 @@ class TestTrainEval:
 
 
 class TestMismatchedCheckpoint:
-    """A best.ckpt whose records do not fit its own config exits 2 naming the file."""
+    """A best.ckpt whose records do not fit its own config, or cannot be
+    read, exits 2 naming the file."""
 
     @staticmethod
     def write_best(run_dir, edit):
@@ -482,6 +483,16 @@ class TestMismatchedCheckpoint:
         path = self.write_best(tmp_path / "run", lambda values: values.pop("proj.w2"))
         assert self.run(command, path, corpus, manifest_file) == 2
         assert f"{path}: parameter proj.w2: " in capsys.readouterr().err
+        assert [p.name for p in path.parent.iterdir()] == ["best.ckpt"]
+
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_record_name_not_utf8_exit_2_names_file(self, corpus, manifest_file, tmp_path,
+                                                    capsys, command):
+        path = self.write_best(tmp_path / "run", lambda values: None)
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"enc0.w", b"\xffnc0.w", 1))
+        assert self.run(command, path, corpus, manifest_file) == 2
+        assert f"{path}: corrupt text field" in capsys.readouterr().err
         assert [p.name for p in path.parent.iterdir()] == ["best.ckpt"]
 
     @pytest.mark.parametrize("command", ["eval", "export-embeddings"])

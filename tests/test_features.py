@@ -3,8 +3,8 @@ import threading
 import numpy as np
 import pytest
 
-from cosmix import autodiff as ad
 from cosmix import features as ft
+from cosmix import runtime
 
 
 def naive_power_spectrum(frame, n_fft):
@@ -163,21 +163,21 @@ class TestLogFbank:
 
 
 class TestRowSpans:
-    """log_fbank_batch's rows on the pool worker (autodiff._share)."""
+    """log_fbank_batch's rows on the pool worker (runtime._share)."""
 
     @staticmethod
     def pooled(monkeypatch, span_rows):
         """Force the pool at ``span_rows`` rows per span; returns the spans
         handed to it."""
-        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
-        monkeypatch.setattr(ad, "BLOCK_CLIPS", span_rows)
-        share, spans = ad._share, []
+        monkeypatch.setattr(runtime, "POOL_WORKERS", 1)
+        monkeypatch.setattr(runtime, "BLOCK_CLIPS", span_rows)
+        share, spans = runtime._share, []
 
         def spy(fn, fn_spans):
             fn_spans = list(fn_spans)
             spans.extend(fn_spans)
             return share(fn, fn_spans)
-        monkeypatch.setattr(ad, "_share", spy)
+        monkeypatch.setattr(runtime, "_share", spy)
         return spans
 
     # evaluation hands float32 clips; a float64 stack is cast to them first
@@ -193,7 +193,7 @@ class TestRowSpans:
         last = (n // span_rows - 1) * span_rows
         assert spans == ([(lo, lo + span_rows) for lo in range(0, last, span_rows)]
                          + [(last, n)] if n >= 2 * span_rows else [])
-        monkeypatch.setattr(ad, "POOL_WORKERS", 0)
+        monkeypatch.setattr(runtime, "POOL_WORKERS", 0)
         inline = ft.log_fbank_batch(waves.astype(np.float32))
         assert pooled.dtype == np.float32
         assert np.array_equal(pooled, inline)

@@ -198,6 +198,17 @@ class TestCheckpoint:
             md.load_checkpoint(path)
         assert str(path) in str(err.value)
 
+    def test_record_name_not_utf8_names_path(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, self._ckpt())
+        raw = path.read_bytes()
+        name = struct.pack("<I", 6) + b"enc0.w"
+        assert raw.count(name) == 1
+        path.write_bytes(raw.replace(name, struct.pack("<I", 6) + b"\xffnc0.w"))
+        with pytest.raises(CheckpointError, match="corrupt text field") as err:
+            md.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     def test_metrics_tail_not_json_names_path(self, tmp_path):
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(path, self._ckpt())

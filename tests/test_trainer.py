@@ -13,6 +13,7 @@ from cosmix import autodiff as ad
 from cosmix import dataset as ds
 from cosmix import features as ft
 from cosmix import model as md
+from cosmix import runtime
 from cosmix import trainer as tr
 from cosmix.augment import AugmentConfig
 
@@ -382,7 +383,7 @@ class TestEvaluate:
             tr.evaluate(tr.ClipStore(manifest), "test", md.init_params(TINY_MODEL))
 
     def test_cold_chunk_matches_per_clip_features(self, small_corpus, monkeypatch):
-        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
+        monkeypatch.setattr(runtime, "POOL_WORKERS", 1)
         store = tr.ClipStore(small_corpus)
 
         def per_clip(e):
@@ -555,10 +556,10 @@ class TestResume:
 
 class TestRowBlocks:
     """Conv row blocks and log-mel row spans on the pool
-    (autodiff.POOL_WORKERS) leave every output byte as inline calls write
+    (runtime.POOL_WORKERS) leave every output byte as inline calls write
     it."""
 
-    # a small encoder whose conv blocks pass autodiff.MIN_MADDS at
+    # a small encoder whose conv blocks pass runtime.MIN_MADDS at
     # 8-clip blocks; block 1's weight GEMM splits by column, block 0's by
     # output channel
     MODEL = md.ModelConfig(channels=(24, 8), init_seed=1)
@@ -576,24 +577,24 @@ class TestRowBlocks:
     @pytest.mark.parametrize("mode", tr.MODES)
     def test_pooled_and_inline_runs_write_identical_bytes(self, small_corpus, tmp_path,
                                                           monkeypatch, mode):
-        share, pooled_fns = ad._share, set()
+        share, pooled_fns = runtime._share, set()
 
         def spy(fn, spans):
             pooled_fns.add(fn.__name__)
             return share(fn, spans)
-        monkeypatch.setattr(ad, "_share", spy)
-        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
+        monkeypatch.setattr(runtime, "_share", spy)
+        monkeypatch.setattr(runtime, "POOL_WORKERS", 1)
         pooled = self.run_outputs(small_corpus, mode, tmp_path / "pooled")
         assert pooled_fns == {"forward_block", "backward_block", "weight_part",
                               "featurize_span"}
-        monkeypatch.setattr(ad, "POOL_WORKERS", 0)
+        monkeypatch.setattr(runtime, "POOL_WORKERS", 0)
         inline = self.run_outputs(small_corpus, mode, tmp_path / "inline")
         for name in self.OUTPUTS:
             assert pooled[name] == inline[name], name
 
     def test_one_pool_thread(self, small_corpus, tmp_path, monkeypatch):
         # conv blocks and log-mel rows share the one worker
-        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
+        monkeypatch.setattr(runtime, "POOL_WORKERS", 1)
         result = tr.train(dataclasses.replace(FAST, epochs=1), small_corpus, mode="cosmix",
                           model_cfg=self.MODEL, clock=lambda: 0.0)
         store = tr.ClipStore(small_corpus)
@@ -605,9 +606,9 @@ class TestRowBlocks:
     def test_verify_with_pooled_blocks(self, monkeypatch, capsys):
         from cosmix.cli import main
         # every conv of the suites goes to the pool, one clip per block
-        monkeypatch.setattr(ad, "POOL_WORKERS", 1)
-        monkeypatch.setattr(ad, "BLOCK_CLIPS", 1)
-        monkeypatch.setattr(ad, "MIN_MADDS", 0)
+        monkeypatch.setattr(runtime, "POOL_WORKERS", 1)
+        monkeypatch.setattr(runtime, "BLOCK_CLIPS", 1)
+        monkeypatch.setattr(runtime, "MIN_MADDS", 0)
         assert main(["verify"]) == 0
         assert "all 15 suites passed" in capsys.readouterr().out
         monkeypatch.setenv(ad.SABOTAGE_ENV, "conv2d")
