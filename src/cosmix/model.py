@@ -202,8 +202,11 @@ def load_checkpoint(path):
         name = r.string()
         rank = r.u32()
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        count = math.prod(shape)
-        values = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
+        values = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4")
+        try:
+            values = values.reshape(shape)
+        except ValueError as exc:  # a rank over numpy's limit
+            raise CheckpointError(f"{path}: record {name}: {exc}") from None
         parameters[name] = values.astype(np.float32)
     if r.off != len(data):
         raise CheckpointError(f"{path}: {len(data) - r.off} trailing bytes")

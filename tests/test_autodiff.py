@@ -69,6 +69,10 @@ BLOCK = 4  # clips per row block in the tests below
 # runtime.MIN_MADDS multiply-adds at every (stride, padding) below
 POOLED_SHAPE = ((24, 24, 16), 32)
 
+# the default encoder's four blocks: [H, W, C] input and output channels
+ENCODER_BLOCKS = [((98, 64, 1), 32), ((49, 32, 32), 64), ((25, 16, 64), 64),
+                  ((13, 8, 64), 128)]
+
 
 def pooled(monkeypatch, workers=1):
     monkeypatch.setattr(runtime, "POOL_WORKERS", workers)
@@ -219,6 +223,51 @@ class TestConv2d:
             ad.conv2d(ad.Tensor(x), ad.Tensor(k), ad.Tensor(b), stride=2, padding=1)
         assert [span for fn, span in spans if fn == "forward_block"] == \
             [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, bsz)]
+
+    # the bias added as one [Ho*Wo*O] row per clip gives the bits of a
+    # broadcast add of the [O] bias
+
+    @pytest.mark.parametrize("bsz", [1, 8, 17])
+    @pytest.mark.parametrize("hwc,cout", ENCODER_BLOCKS, ids=["enc0", "enc1", "enc2", "enc3"])
+    def test_forward_matches_broadcast_bias_add_bit_for_bit(self, monkeypatch, bsz, hwc,
+                                                            cout):
+        x, k, b, _ = conv_case(np.random.default_rng(bsz), bsz, hwc, cout, 2, 1, np.float32)
+        b = -np.abs(b)  # so the relu zeros some outputs
+        monkeypatch.setattr(runtime, "POOL_WORKERS", 1)
+        spans = spy_share(monkeypatch)
+        out = ad.conv2d(ad.Tensor(x), ad.Tensor(k), ad.Tensor(b), stride=2, padding=1).values
+        # the reference: im2col, each row block's GEMM as conv2d ran it,
+        # then out += b, broadcast over rows only O floats long, and the relu
+        h, w, cin = hwc
+        xp = np.zeros((bsz, h + 2, w + 2, cin), dtype=np.float32)
+        xp[:, 1:h + 1, 1:w + 1] = x
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+        windows = windows[:, ::2, ::2].transpose(0, 1, 2, 4, 5, 3)
+        rows = windows.shape[1] * windows.shape[2]
+        cols = windows.reshape(bsz * rows, -1)
+        kmat = k.transpose(0, 2, 3, 1).reshape(cout, -1)
+        want = np.empty((bsz * rows, cout), dtype=np.float32)
+        for lo, hi in [span for _, span in spans] or [(0, bsz)]:
+            np.matmul(cols[lo * rows:hi * rows], kmat.T, out=want[lo * rows:hi * rows])
+        want += b
+        np.maximum(want, 0, out=want)
+        assert 0 < np.count_nonzero(want) < want.size
+        assert np.array_equal(out.view(np.uint32), want.reshape(out.shape).view(np.uint32))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+inf", "-inf"])
+    @pytest.mark.parametrize("hwc,cout", ENCODER_BLOCKS, ids=["enc0", "enc1", "enc2", "enc3"])
+    def test_bias_add_overflow_raises(self, monkeypatch, hwc, cout, sign):
+        # in the last channel the GEMM gives at most 2e38 in magnitude, a
+        # finite float32; adding the bias of 2e38 overflows it to +inf, or
+        # to -inf, which the relu would clamp
+        x, k, b, _ = conv_case(np.random.default_rng(7), 17, hwc, cout, 2, 1, np.float32)
+        x[:] = 1.0
+        k[-1] = sign * np.float32(2e38) / k[-1].size
+        b[-1] = sign * np.float32(2e38)
+        monkeypatch.setattr(runtime, "POOL_WORKERS", 1)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="non-finite forward values in op 'conv2d'"):
+            ad.conv2d(ad.Tensor(x), ad.Tensor(k), ad.Tensor(b), stride=2, padding=1)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), (2, 0), (1, 1)])

@@ -1,4 +1,5 @@
 import json
+import struct
 import wave as wave_mod
 from pathlib import Path
 
@@ -493,6 +494,19 @@ class TestMismatchedCheckpoint:
         path.write_bytes(raw.replace(b"enc0.w", b"\xffnc0.w", 1))
         assert self.run(command, path, corpus, manifest_file) == 2
         assert f"{path}: corrupt text field" in capsys.readouterr().err
+        assert [p.name for p in path.parent.iterdir()] == ["best.ckpt"]
+
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_record_rank_over_numpy_limit_exit_2_names_file(self, corpus, manifest_file,
+                                                           tmp_path, capsys, command):
+        path = self.write_best(tmp_path / "run", lambda values: None)
+        raw = path.read_bytes()
+        # enc0.b ([2]) as rank 65, dims (2, 1, ..., 1): the byte count still fits
+        record = b"enc0.b" + struct.pack("<2I", 1, 2)
+        assert raw.count(record) == 1
+        path.write_bytes(raw.replace(record, b"enc0.b" + struct.pack("<66I", 65, 2, *[1] * 64)))
+        assert self.run(command, path, corpus, manifest_file) == 2
+        assert f"{path}: record enc0.b: " in capsys.readouterr().err
         assert [p.name for p in path.parent.iterdir()] == ["best.ckpt"]
 
     @pytest.mark.parametrize("command", ["eval", "export-embeddings"])

@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cosmix import features as ft
 from cosmix import runtime
@@ -15,6 +16,15 @@ def naive_power_spectrum(frame, n_fft):
     n = np.arange(n_fft)[None, :]
     basis = np.exp(-2j * np.pi * k * n / n_fft)
     return np.abs(basis @ padded) ** 2
+
+
+def stack_power(waves, dtype):
+    """Power spectrograms [N, 98, 257] of a whole [N, 16000] stack in
+    ``dtype``: one windowing product and one FFT call over every frame."""
+    waves = np.asarray(waves, dtype=dtype)
+    frames = sliding_window_view(waves, ft.WIN_LENGTH, axis=1)[:, ::ft.HOP_LENGTH]
+    frames = frames * ft.hann_periodic(ft.WIN_LENGTH).astype(dtype)
+    return np.abs(np.fft.rfft(frames, n=ft.N_FFT, axis=2)) ** 2
 
 
 class TestStftPower:
@@ -136,7 +146,7 @@ class TestLogFbank:
             single = np.stack([ft.log_fbank_batch(w[None])[0] for w in waves])
             np.testing.assert_array_equal(batch, single)
             # the whole-stack formula: one FFT call and one filterbank GEMM
-            power = ft._power_batch(waves, np.float32).reshape(-1, ft.N_BINS)
+            power = stack_power(waves, np.float32).reshape(-1, ft.N_BINS)
             whole = np.log(np.maximum(power @ fbank.T.astype(np.float32),
                                       np.float32(ft.LOG_FLOOR)))
             np.testing.assert_array_equal(batch, whole.reshape(n, 98, 64))
@@ -144,7 +154,7 @@ class TestLogFbank:
     def test_stft_power_is_row_of_batched_power(self):
         rng = np.random.default_rng(9)
         waves = rng.normal(size=(3, 16000))
-        batched = ft._power_batch(waves, np.float64)
+        batched = stack_power(waves, np.float64)
         for row, wave in enumerate(waves):
             np.testing.assert_array_equal(ft.stft_power(wave), batched[row])
 
@@ -198,18 +208,54 @@ class TestRowSpans:
         assert pooled.dtype == np.float32
         assert np.array_equal(pooled, inline)
 
+    @staticmethod
+    def rowwise_reference(waves):
+        """One row at a time, each step a fresh array: windowed frames,
+        ``rfft(..., n=N_FFT)``, ``abs``, ``** 2``, the filterbank product,
+        the floor and the log."""
+        fbank_t = ft.mel_filterbank().T.astype(np.float32)
+        out = np.empty((len(waves), ft.FRAME_COUNT, ft.N_MELS), dtype=np.float32)
+        for row in range(len(waves)):
+            power = stack_power(waves[row:row + 1], np.float32)[0]
+            out[row] = np.log(np.maximum(power @ fbank_t, np.float32(ft.LOG_FLOOR)))
+        return out
+
+    @staticmethod
+    def reference_waves(kind, n):
+        rng = np.random.default_rng(11)
+        if kind == "silence":
+            return np.zeros((n, 16000), dtype=np.float32)
+        if kind == "square":  # full scale: every sample is +1 or -1
+            period = 2 * (3 + np.arange(n)[:, None])
+            return np.where(np.arange(16000) % period < period // 2, 1.0, -1.0)
+        scale = 1e-38 if kind == "tiny" else 0.3
+        return (rng.normal(size=(n, 16000)) * scale).astype(np.float32)
+
+    @pytest.mark.parametrize("kind", ["silence", "square", "tiny", "noise"])
+    @pytest.mark.parametrize("n,span_rows", [(1, 1), (17, 3)])
+    def test_rows_match_rowwise_reference_bit_for_bit(self, monkeypatch, kind, n, span_rows):
+        spans = self.pooled(monkeypatch, span_rows)
+        waves = self.reference_waves(kind, n)
+        got = ft.log_fbank_batch(waves)
+        assert len(spans) == (5 if n == 17 else 0)  # 17 rows at span 3 go to the pool
+        want = self.rowwise_reference(waves)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        if kind in ("silence", "tiny"):  # every value at the floor
+            assert np.all(got == np.log(np.float32(ft.LOG_FLOOR)))
+
     def test_worker_error_surfaces_in_caller(self, monkeypatch):
         spans = self.pooled(monkeypatch, 1)
-        caller, power_batch = threading.current_thread(), ft._power_batch
+        caller, rfft = threading.current_thread(), np.fft.rfft
         worker_started = threading.Event()
 
-        def failing_on_worker(waves, dtype):
+        def failing_on_worker(*args, **kwargs):
             if threading.current_thread() is caller:
                 assert worker_started.wait(10), "the pool worker took no row"
-                return power_batch(waves, dtype)
+                return rfft(*args, **kwargs)
             worker_started.set()
             raise RuntimeError("row failed on the worker")
-        monkeypatch.setattr(ft, "_power_batch", failing_on_worker)
+        # every row's FFT, a call each span makes
+        monkeypatch.setattr(np.fft, "rfft", failing_on_worker)
         with pytest.raises(RuntimeError, match="row failed on the worker"):
             ft.log_fbank_batch(np.zeros((4, 16000)))
         assert spans == [(0, 1), (1, 2), (2, 3), (3, 4)]

@@ -209,6 +209,20 @@ class TestCheckpoint:
             md.load_checkpoint(path)
         assert str(path) in str(err.value)
 
+    def test_record_rank_over_numpy_limit_names_path(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(path, self._ckpt())
+        raw = path.read_bytes()
+        # enc0.b as rank 65, its dims (n, 1, ..., 1): the byte count still fits
+        n = self._ckpt().parameters["enc0.b"].size
+        record = struct.pack("<I", 6) + b"enc0.b" + struct.pack("<2I", 1, n)
+        assert raw.count(record) == 1
+        path.write_bytes(raw.replace(record, struct.pack("<I", 6) + b"enc0.b"
+                                     + struct.pack("<66I", 65, n, *[1] * 64)))
+        with pytest.raises(CheckpointError, match="record enc0.b") as err:
+            md.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     def test_metrics_tail_not_json_names_path(self, tmp_path):
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(path, self._ckpt())
