@@ -10,6 +10,7 @@ from the manifest, so a manifest's paths need not follow the layout.
 from __future__ import annotations
 
 import math
+import struct
 import wave as wave_mod
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -68,38 +69,70 @@ def parse_clip_path(rel_path):
     return _KEYWORD_INDEX[word], speaker
 
 
-def load_wav(path, root=None):
-    """Read a 16-bit mono 16 kHz PCM WAV into float64 samples in [-1, 1).
+def _wav_chunks(blob, full):
+    """The ``fmt `` fields (channels, bytes per sample, rate) and the
+    ``data`` bytes of the RIFF/WAVE file ``blob``, with the data size its
+    header declares. Chunks end at the RIFF size, and every other chunk is
+    skipped with its pad byte after an odd size."""
+    def malformed(reason):
+        return FormatError(f"{full}: malformed WAV ({reason})")
 
-    Unsupported parameter combinations are rejected, never resampled, and
-    so is a clip without samples or with fewer than its header declares.
+    if blob[:4] != b"RIFF":
+        raise malformed("file does not start with RIFF id")
+    if blob[8:12] != b"WAVE":
+        raise malformed("not a WAVE file")
+    end = min(len(blob), 8 + int.from_bytes(blob[4:8], "little"))
+    view = memoryview(blob)
+    pos, fmt = 12, None
+    while pos + 8 <= end:
+        name = blob[pos:pos + 4]
+        size = int.from_bytes(blob[pos + 4:pos + 8], "little")
+        body = view[pos + 8:min(pos + 8 + size, end)]
+        if name == b"fmt ":
+            if len(body) < 16:
+                raise malformed(f"{len(body)}-byte fmt chunk, expected at least 16")
+            tag, n_channels, rate, bits = struct.unpack_from("<HHI6xH", body)
+            if tag != 1:
+                raise UnsupportedFormatError(f"{full}: expected PCM (format tag 1), "
+                                             f"got format tag {tag:#06x}")
+            if not bits:
+                raise malformed("bad sample width")
+            if not n_channels:
+                raise malformed("bad # of channels")
+            fmt = n_channels, (bits + 7) // 8, rate
+        elif name == b"data":
+            if fmt is None:
+                raise malformed("data chunk before fmt chunk")
+            return fmt, body, size
+        pos += 8 + size + (size & 1)
+    raise malformed("fmt chunk and/or data chunk missing")
+
+
+def load_wav(path, root=None):
+    """Read a 16-bit mono 16 kHz PCM WAV into float32 samples in [-1, 1).
+
+    The file is read once and its chunks walked in place. Each sample is
+    its int16 value over 32768, which float32 holds exactly, so callers
+    keep the array as it comes. Unsupported parameter combinations are
+    rejected, never resampled, and so is a clip without samples or with
+    fewer than its header declares.
     """
-    path = Path(path)
-    full = Path(root) / path if root is not None else path
-    try:
-        with wave_mod.open(str(full), "rb") as fh:
-            n_channels = fh.getnchannels()
-            sampwidth = fh.getsampwidth()
-            rate = fh.getframerate()
-            comp = fh.getcomptype()
-            n_frames = fh.getnframes()
-            raw = fh.readframes(n_frames)
-    except (wave_mod.Error, EOFError) as exc:
-        raise FormatError(f"{full}: malformed WAV ({exc or 'truncated'})") from None
-    if comp != "NONE":
-        raise UnsupportedFormatError(f"{full}: compressed WAV not supported")
+    full = Path(path) if root is None else Path(root, path)
+    with open(full, "rb", buffering=0) as fh:
+        blob = fh.read()
+    (n_channels, sampwidth, rate), data, size = _wav_chunks(blob, full)
     if n_channels != 1:
         raise UnsupportedFormatError(f"{full}: expected mono, got {n_channels} channels")
     if sampwidth != 2:
         raise UnsupportedFormatError(f"{full}: expected 16-bit PCM, got {8 * sampwidth}-bit")
     if rate != SAMPLE_RATE:
         raise UnsupportedFormatError(f"{full}: expected {SAMPLE_RATE} Hz, got {rate}")
-    if len(raw) < 2 * n_frames:
-        raise FormatError(f"{full}: truncated data chunk, {len(raw)} of "
-                          f"{2 * n_frames} bytes")
-    if not raw:
+    want = size - size % 2
+    if len(data) < want:
+        raise FormatError(f"{full}: truncated data chunk, {len(data)} of {want} bytes")
+    if not want:
         raise FormatError(f"{full}: empty clip")
-    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    return np.frombuffer(data[:want], dtype="<i2") * np.float32(1 / 32768)
 
 
 def write_wav(path, samples):

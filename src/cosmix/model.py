@@ -200,6 +200,8 @@ def load_checkpoint(path):
     parameters = {}
     for _ in range(n_records):
         name = r.string()
+        if name in parameters:
+            raise CheckpointError(f"{path}: duplicate record {name}")
         rank = r.u32()
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
         values = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4")

@@ -134,10 +134,9 @@ class TrainResult:
 class ClipStore:
     """Loads and caches padded waveforms and evaluation features.
 
-    A waveform is cached as float32, 64,000 bytes a clip: each 16-bit
-    sample over 32768 has at most 16 significant bits, so float32 holds
-    ``load_wav``'s float64 values exactly. Training's augmentation casts
-    it to float64; evaluation featurizes it as it is. Cached arrays are
+    A waveform is cached as ``load_wav`` returns it, float32 and 64,000
+    bytes a clip, with no re-cast. Training's augmentation casts it to
+    float64; evaluation featurizes it as it is. Cached arrays are
     read-only, since every later batch shares them.
     """
 
@@ -149,8 +148,7 @@ class ClipStore:
     def wave(self, entry):
         cached = self._waves.get(entry.path)
         if cached is None:
-            wave = pad_or_trim(load_wav(entry.path, root=self.manifest.root))
-            cached = wave.astype(np.float32)
+            cached = pad_or_trim(load_wav(entry.path, root=self.manifest.root))
             cached.flags.writeable = False
             self._waves[entry.path] = cached
         return cached

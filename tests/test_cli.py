@@ -510,6 +510,19 @@ class TestMismatchedCheckpoint:
         assert [p.name for p in path.parent.iterdir()] == ["best.ckpt"]
 
     @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_duplicate_record_exit_2_names_file(self, corpus, manifest_file, tmp_path,
+                                                capsys, command):
+        def add_copy(values):  # renamed to a second enc0.w below
+            values["dup0.w"] = np.full_like(values["enc0.w"], 7.0)
+        path = self.write_best(tmp_path / "run", add_copy)
+        raw = path.read_bytes()
+        assert raw.count(b"dup0.w") == 1
+        path.write_bytes(raw.replace(b"dup0.w", b"enc0.w"))
+        assert self.run(command, path, corpus, manifest_file) == 2
+        assert f"{path}: duplicate record enc0.w" in capsys.readouterr().err
+        assert [p.name for p in path.parent.iterdir()] == ["best.ckpt"]
+
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
     def test_wrong_shape_record_exit_2_names_file(self, corpus, manifest_file, tmp_path,
                                                   capsys, command):
         def shrink(values):

@@ -1,4 +1,5 @@
 import math
+import struct
 import wave as wave_mod
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from cosmix import dataset as ds
 from cosmix.errors import DatasetError, FormatError, ManifestError, UnsupportedFormatError
+from cosmix.trainer import ClipStore
 
 
 @pytest.fixture()
@@ -26,7 +28,7 @@ class TestLoadWav:
         path = tmp_path / "yes" / "spk_nohash_0.wav"
         ds.write_wav(path, np.zeros(16000))
         samples = ds.load_wav(path)
-        assert samples.shape == (16000,) and samples.dtype == np.float64
+        assert samples.shape == (16000,) and samples.dtype == np.float32
         assert np.all(samples == 0)
 
     def test_full_scale_value(self, tmp_path):
@@ -92,6 +94,93 @@ class TestLoadWav:
         with pytest.raises(FormatError, match="truncated") as info:
             ds.load_wav("yes/s_nohash_0.wav", root=tmp_path)
         assert str(path) in str(info.value)
+
+
+def chunk(name, body):
+    """One RIFF chunk, with its pad byte after an odd size."""
+    return name + struct.pack("<I", len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def fmt_chunk(tag=1, channels=1, rate=16000, bits=16):
+    block = channels * ((bits + 7) // 8)
+    return chunk(b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, rate * block,
+                                      block, bits))
+
+
+def riff(*chunks, riff_size=None):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body) if riff_size is None else riff_size) + body
+
+
+SAMPLES = chunk(b"data", np.arange(-50, 50, dtype="<i2").tobytes())
+
+
+class TestWavChunks:
+    """``load_wav``'s own RIFF walk: every malformed or unsupported header
+    raises its documented type, and the reason names the file."""
+
+    @pytest.mark.parametrize("blob,error,reason", [
+        (riff(chunk(b"fmt ", b"\1\0\1\0"), SAMPLES), FormatError,
+         "malformed WAV (4-byte fmt chunk, expected at least 16)"),
+        (riff(fmt_chunk()), FormatError,
+         "malformed WAV (fmt chunk and/or data chunk missing)"),
+        (riff(SAMPLES, fmt_chunk()), FormatError,
+         "malformed WAV (data chunk before fmt chunk)"),
+        (riff(fmt_chunk(channels=0), SAMPLES), FormatError,
+         "malformed WAV (bad # of channels)"),
+        (riff(fmt_chunk(bits=0), SAMPLES), FormatError, "malformed WAV (bad sample width)"),
+        (riff(fmt_chunk(tag=3, bits=32), SAMPLES), UnsupportedFormatError,
+         "expected PCM (format tag 1), got format tag 0x0003"),
+        (riff(fmt_chunk(tag=0xFFFE), SAMPLES), UnsupportedFormatError,
+         "expected PCM (format tag 1), got format tag 0xfffe"),
+        (riff(fmt_chunk(), b"data" + struct.pack("<I", 32000) + bytes(100)), FormatError,
+         "truncated data chunk, 100 of 32000 bytes"),
+        # the file holds all 200 bytes, but the RIFF size ends 60 into them
+        (riff(fmt_chunk(), SAMPLES, riff_size=4 + 24 + 8 + 60), FormatError,
+         "truncated data chunk, 60 of 200 bytes"),
+    ], ids=["short-fmt", "no-data", "data-before-fmt", "zero-channels", "zero-bits",
+            "float-tag", "extensible-tag", "data-past-eof", "riff-shorter-than-file"])
+    def test_rejected_with_reason_naming_file(self, tmp_path, blob, error, reason):
+        path = tmp_path / "yes" / "s_nohash_0.wav"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(blob)
+        with pytest.raises(error) as info:
+            ds.load_wav("yes/s_nohash_0.wav", root=tmp_path)
+        assert str(info.value) == f"{path}: {reason}"
+
+    def test_odd_list_chunk_before_data_skipped(self, tmp_path):
+        path = tmp_path / "s.wav"
+        path.write_bytes(riff(fmt_chunk(), chunk(b"LIST", b"INFOabc"), SAMPLES))
+        np.testing.assert_array_equal(ds.load_wav(path),
+                                      np.arange(-50, 50, dtype=np.float32) / 32768)
+
+
+class TestDecodeBits:
+    """Every int16 value decodes to float32 with the bits of
+    ``(ints / 32768.0).astype(np.float32)``."""
+
+    ALL = np.arange(-32768, 32768, dtype=np.int16)
+
+    def test_every_int16_value(self, tmp_path):
+        path = tmp_path / "s.wav"
+        path.write_bytes(riff(fmt_chunk(), chunk(b"data", self.ALL.astype("<i2").tobytes())))
+        got = ds.load_wav(path)
+        assert got.dtype == np.float32
+        want = (self.ALL / 32768.0).astype(np.float32)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("n", [8000, 16000, 65536], ids=["padded", "exact", "trimmed"])
+    def test_clip_store_wave(self, tmp_path, n):
+        ints = np.random.default_rng(n).permutation(self.ALL)[:n]
+        path = tmp_path / "yes" / "s_nohash_0.wav"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(riff(fmt_chunk(), chunk(b"data", ints.astype("<i2").tobytes())))
+        entry = ds.ManifestEntry("yes/s_nohash_0.wav", 4, "s", "train")
+        store = ClipStore(ds.DatasetManifest(entries=(entry,), root=str(tmp_path)))
+        got = store.wave(entry)
+        assert got.dtype == np.float32 and not got.flags.writeable
+        want = ds.pad_or_trim((ints / 32768.0).astype(np.float32))
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestPadOrTrim:

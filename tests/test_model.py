@@ -223,6 +223,20 @@ class TestCheckpoint:
             md.load_checkpoint(path)
         assert str(path) in str(err.value)
 
+    def test_duplicate_record_names_path(self, tmp_path):
+        # a second enc0.w record of all 7s, written under a placeholder name
+        # of the same length and renamed in the bytes
+        path = tmp_path / "model.ckpt"
+        ckpt = self._ckpt()
+        ckpt.parameters["dup0.w"] = np.full_like(ckpt.parameters["enc0.w"], 7.0)
+        md.save_checkpoint(path, ckpt)
+        raw = path.read_bytes()
+        assert raw.count(b"dup0.w") == 1
+        path.write_bytes(raw.replace(b"dup0.w", b"enc0.w"))
+        with pytest.raises(CheckpointError) as err:
+            md.load_checkpoint(path)
+        assert str(err.value) == f"{path}: duplicate record enc0.w"
+
     def test_metrics_tail_not_json_names_path(self, tmp_path):
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(path, self._ckpt())
